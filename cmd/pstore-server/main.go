@@ -138,8 +138,9 @@ func main() {
 			c.Stop()
 			os.Exit(1)
 		}
-		// Bulk loading bypasses the command log; checkpoint so the preload
-		// survives a crash.
+		// Preloaded rows reach the command log only through a replication
+		// feed (k≥1), unsynced until the next group commit; with k=0 they
+		// are not logged at all. Checkpoint so the preload survives a crash.
 		if *dataDir != "" {
 			if err := c.SnapshotAll(); err != nil {
 				fmt.Fprintf(os.Stderr, "pstore-server: preload snapshot: %v\n", err)

@@ -1,13 +1,14 @@
 package b2w
 
 import (
-	"fmt"
+	"errors"
 	"math/rand"
 	"strconv"
 	"sync"
 
 	"pstore/internal/cluster"
 	"pstore/internal/engine"
+	"pstore/internal/storage"
 )
 
 // DriverConfig parameterizes the workload driver.
@@ -67,9 +68,6 @@ type Driver struct {
 	carts     []string
 	checkouts []string
 	stockTxs  []string
-	nextCart  int64
-	nextCkout int64
-	nextSttx  int64
 }
 
 // NewDriver returns a driver with the default transaction mix.
@@ -87,49 +85,110 @@ func NewDriver(cfg DriverConfig) *Driver {
 	return d
 }
 
+// preloadChunkRows is the number of rows Preload generates per
+// cluster.LoadRows call; one chunk loads while the next is generated.
+const preloadChunkRows = 8192
+
 // Preload bulk-loads the stock catalog and an initial population of carts
 // into the cluster, sized so the database resembles a day of active carts.
+// Rows are generated in chunks, and each chunk loads in the background while
+// the next is generated. Generation makes the same RNG calls in the same
+// order as a row-at-a-time load, so a seed always yields the same keys, the
+// same cart pool and the same later Next stream.
 func (d *Driver) Preload(c *cluster.Cluster, carts int) error {
-	for i := 0; i < d.cfg.StockItems; i++ {
-		cols := map[string]string{
+	var l chunkLoader
+	for i := 0; i < d.cfg.StockItems; i += preloadChunkRows {
+		if err := l.load(c, TableStock, d.stockChunk(i, min(d.cfg.StockItems, i+preloadChunkRows))); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < carts; i += preloadChunkRows {
+		chunk, err := d.cartChunk(min(carts-i, preloadChunkRows))
+		if err != nil {
+			return errors.Join(err, l.wait())
+		}
+		if err := l.load(c, TableCart, chunk); err != nil {
+			return err
+		}
+	}
+	return l.wait()
+}
+
+// stockChunk generates the catalog rows for SKUs [from, to).
+func (d *Driver) stockChunk(from, to int) []storage.Row {
+	chunk := make([]storage.Row, 0, to-from)
+	for i := from; i < to; i++ {
+		chunk = append(chunk, storage.Row{Key: d.skuKey(i), Cols: map[string]string{
 			"available": "1000000",
 			"reserved":  "0",
 			"sold":      "0",
-			"name":      fmt.Sprintf("item %d", i),
-		}
-		if err := c.LoadRow(TableStock, d.skuKey(i), cols); err != nil {
-			return err
-		}
+			"name":      "item " + strconv.Itoa(i),
+		}})
 	}
-	for i := 0; i < carts; i++ {
-		key := d.newCartKey()
+	return chunk
+}
+
+// cartChunk generates n preloaded cart rows, remembering each cart in the
+// pool as it goes.
+func (d *Driver) cartChunk(n int) ([]storage.Row, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	chunk := make([]storage.Row, n)
+	for j := range chunk {
+		key := d.newCartKeyLocked()
 		lines, err := encodeLines([]Line{{SKU: d.randomSKULocked(), Quantity: 1, Price: 9.99}})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := c.LoadRow(TableCart, key, map[string]string{"lines": lines, "status": StatusOpen}); err != nil {
-			return err
-		}
-		d.rememberCart(key)
+		chunk[j] = storage.Row{Key: key, Cols: map[string]string{"lines": lines, "status": StatusOpen}}
+		d.rememberCartLocked(key)
 	}
+	return chunk, nil
+}
+
+// chunkLoader keeps at most one LoadRows call in flight.
+type chunkLoader struct {
+	done chan error
+}
+
+// load waits for the chunk in flight, then starts loading rows.
+func (l *chunkLoader) load(c *cluster.Cluster, table string, rows []storage.Row) error {
+	if err := l.wait(); err != nil {
+		return err
+	}
+	l.done = make(chan error, 1)
+	go func(done chan<- error) { done <- c.LoadRows(table, rows) }(l.done)
 	return nil
 }
 
-func (d *Driver) skuKey(i int) string { return fmt.Sprintf("sku-%08d", i) }
-
-// newCartKey mints a random cart key (B2W cart IDs are random UUIDs, which
-// is what makes the workload hash-uniform).
-func (d *Driver) newCartKey() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.nextCart++
-	return fmt.Sprintf("cart-%016x", d.rng.Uint64())
+// wait returns the result of the chunk in flight, if any.
+func (l *chunkLoader) wait() error {
+	if l.done == nil {
+		return nil
+	}
+	err := <-l.done
+	l.done = nil
+	return err
 }
 
-func (d *Driver) rememberCart(key string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.rememberCartLocked(key)
+func (d *Driver) skuKey(i int) string { return paddedKey("sku-", uint64(i), 10, 8) }
+
+// newCartKeyLocked mints a random cart key (B2W cart IDs are random UUIDs,
+// which is what makes the workload hash-uniform).
+func (d *Driver) newCartKeyLocked() string { return paddedKey("cart-", d.rng.Uint64(), 16, 16) }
+
+// paddedKey returns prefix followed by v in base, zero-padded to width
+// digits: the string fmt.Sprintf gives for prefix+"%0<width>d" (base 10) or
+// prefix+"%0<width>x" (base 16), without fmt's reflection.
+func paddedKey(prefix string, v uint64, base, width int) string {
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	var digits [64]byte
+	d := strconv.AppendUint(digits[:0], v, base)
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 func (d *Driver) rememberCartLocked(key string) {
@@ -169,7 +228,7 @@ func (d *Driver) buildLocked(proc string) *engine.Txn {
 		if len(d.carts) > 0 && d.rng.Float64() < 0.7 {
 			key = d.carts[d.rng.Intn(len(d.carts))]
 		} else {
-			key = fmt.Sprintf("cart-%016x", d.rng.Uint64())
+			key = d.newCartKeyLocked()
 			d.rememberCartLocked(key)
 		}
 		return &engine.Txn{Proc: proc, Key: key, Args: map[string]string{
@@ -185,8 +244,7 @@ func (d *Driver) buildLocked(proc string) *engine.Txn {
 	case ProcGetStock, ProcGetStockQuantity, ProcReserveStock, ProcPurchaseStock, ProcCancelStockReservation:
 		return &engine.Txn{Proc: proc, Key: d.randomSKULocked(), Args: map[string]string{"qty": qty}}
 	case ProcCreateStockTransaction:
-		d.nextSttx++
-		key := fmt.Sprintf("sttx-%016x", d.rng.Uint64())
+		key := paddedKey("sttx-", d.rng.Uint64(), 16, 16)
 		if len(d.stockTxs) < 512 {
 			d.stockTxs = append(d.stockTxs, key)
 		} else {
@@ -196,7 +254,7 @@ func (d *Driver) buildLocked(proc string) *engine.Txn {
 			"sku": d.randomSKULocked(), "qty": qty, "cart_id": d.cartKeyLocked(),
 		}}
 	case ProcGetStockTransaction, ProcUpdateStockTransaction:
-		key := fmt.Sprintf("sttx-%016x", d.rng.Uint64())
+		key := paddedKey("sttx-", d.rng.Uint64(), 16, 16)
 		if len(d.stockTxs) > 0 {
 			key = d.stockTxs[d.rng.Intn(len(d.stockTxs))]
 		}
@@ -209,8 +267,7 @@ func (d *Driver) buildLocked(proc string) *engine.Txn {
 		}
 		return &engine.Txn{Proc: proc, Key: key, Args: args}
 	case ProcCreateCheckout:
-		d.nextCkout++
-		key := fmt.Sprintf("ckout-%016x", d.rng.Uint64())
+		key := paddedKey("ckout-", d.rng.Uint64(), 16, 16)
 		if len(d.checkouts) < 512 {
 			d.checkouts = append(d.checkouts, key)
 		} else {
@@ -218,7 +275,7 @@ func (d *Driver) buildLocked(proc string) *engine.Txn {
 		}
 		return &engine.Txn{Proc: proc, Key: key, Args: map[string]string{"cart_id": d.cartKeyLocked()}}
 	case ProcCreateCheckoutPayment, ProcAddLineToCheckout, ProcDeleteLineFromCheckout, ProcGetCheckout, ProcDeleteCheckout:
-		key := fmt.Sprintf("ckout-%016x", d.rng.Uint64())
+		key := paddedKey("ckout-", d.rng.Uint64(), 16, 16)
 		if len(d.checkouts) > 0 {
 			key = d.checkouts[d.rng.Intn(len(d.checkouts))]
 		}
@@ -243,7 +300,7 @@ func (d *Driver) buildLocked(proc string) *engine.Txn {
 
 func (d *Driver) cartKeyLocked() string {
 	if len(d.carts) == 0 {
-		key := fmt.Sprintf("cart-%016x", d.rng.Uint64())
+		key := d.newCartKeyLocked()
 		d.rememberCartLocked(key)
 		return key
 	}

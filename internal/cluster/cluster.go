@@ -1123,41 +1123,156 @@ func (c *Cluster) CallAsync(txn *engine.Txn, comp engine.Completion) {
 	exec.CallAsync(txn, a)
 }
 
-// LoadRow inserts a row directly into whichever partition owns the key,
-// bypassing stored procedures and synthetic service time. For bulk-loading
-// benchmark data. Loads bypass the fsynced command log (with durability on,
-// call SnapshotAll after bulk loading to checkpoint them) but still ship to
-// replicas — standbys must see every row a primary holds.
-func (c *Cluster) LoadRow(table, key string, cols map[string]string) error {
-	for attempt := 0; attempt < 64; attempt++ {
-		pid := c.RouteKey(key)
-		c.mu.RLock()
-		exec := c.execs[pid]
-		feed := c.feeds[pid]
-		c.mu.RUnlock()
-		if exec == nil {
-			return fmt.Errorf("cluster: no executor for partition %d", pid)
-		}
-		err := exec.Do(func(p *storage.Partition) (int, error) {
-			if perr := p.Put(table, key, cols); perr != nil {
-				return 0, perr
+// loadTaskRows bounds the rows one bulk-load task applies on an executor:
+// a load running next to live traffic holds a partition for at most one
+// such task before queued transactions get their turn.
+const loadTaskRows = 1024
+
+// LoadRows inserts rows into table on whichever partitions own their keys,
+// bypassing stored procedures and synthetic service time. It is the bulk
+// load path for benchmark data; LoadRow is its one-row form.
+//
+// The rows are routed against one routing snapshot and grouped by owning
+// partition, and all partitions load concurrently. Each partition applies
+// its rows in input order through the executor's background lane
+// (DoBackground, the lane pre-copy slices use) in tasks of at most
+// loadTaskRows rows, so queued transactions wait behind at most one task.
+// When the input repeats a key, the later row wins.
+//
+// Rows refused because their bucket is in flight, or whose partition has a
+// missing, stopped or fenced executor, are re-routed and retried as Call
+// retries: under the same retriable predicate, for up to RetryAttempts
+// rounds and RetryBudget of time from the first refusal. Once a bucket
+// refuses a row, its later rows wait for the retry round too, so a key's
+// rows still land in input order.
+//
+// Every loaded row goes through the partition's replication feed when k≥1:
+// it ships to the standbys and, with a DataDir, is appended to the
+// partition's command log, riding the next group commit (never fsynced per
+// row). With k=0 loads are not logged at all, so call SnapshotAll after a
+// durable preload to checkpoint them.
+func (c *Cluster) LoadRows(table string, rows []storage.Row) error {
+	buckets := make([]int, len(rows))
+	pending := make([]int, len(rows))
+	for i := range rows {
+		buckets[i] = storage.BucketOf(rows[i].Key, c.cfg.NBuckets)
+		pending[i] = i
+	}
+	var deadline time.Time
+	for attempt := 0; ; attempt++ {
+		rt := c.route.Load()
+		var pids []int
+		groups := make(map[int][]int)
+		for _, i := range pending {
+			pid := rt.owner[buckets[i]]
+			if _, seen := groups[pid]; !seen {
+				pids = append(pids, pid)
 			}
-			if feed != nil {
-				return 0, feed.LogPut(table, key, cols)
+			groups[pid] = append(groups[pid], i)
+		}
+		loads := make([]partitionLoad, len(pids))
+		var wg sync.WaitGroup
+		for j := 1; j < len(pids); j++ {
+			wg.Add(1)
+			go func(j int) {
+				defer wg.Done()
+				loads[j] = c.loadPartition(rt, pids[j], table, rows, buckets, groups[pids[j]])
+			}(j)
+		}
+		if len(pids) > 0 {
+			loads[0] = c.loadPartition(rt, pids[0], table, rows, buckets, groups[pids[0]])
+		}
+		wg.Wait()
+		pending = pending[:0]
+		var cause error
+		for _, l := range loads {
+			if l.err != nil {
+				return fmt.Errorf("cluster: LoadRows %s: %w", table, l.err)
+			}
+			pending = append(pending, l.retry...)
+			if l.cause != nil {
+				cause = l.cause
+			}
+		}
+		if len(pending) == 0 {
+			return nil
+		}
+		now := time.Now()
+		if deadline.IsZero() {
+			deadline = now.Add(c.cfg.retryBudget())
+		}
+		if attempt+1 >= c.cfg.retryAttempts() || now.After(deadline) {
+			return fmt.Errorf("cluster: LoadRows %s: %d rows not loaded: %w", table, len(pending), cause)
+		}
+		sort.Ints(pending)
+		c.events.Add(metrics.EventMigrationRetries, 1)
+		time.Sleep(c.cfg.retryInterval())
+	}
+}
+
+// partitionLoad is one partition's share of a LoadRows round: the input
+// indices to retry with the refusal that deferred them, or a terminal error.
+type partitionLoad struct {
+	retry []int
+	cause error
+	err   error
+}
+
+// loadPartition applies the rows at idx (input order) on partition pid in
+// background-lane tasks of at most loadTaskRows rows.
+func (c *Cluster) loadPartition(rt *routing, pid int, table string, rows []storage.Row, buckets, idx []int) partitionLoad {
+	var l partitionLoad
+	exec, ok := rt.execs[pid]
+	if !ok {
+		l.retry, l.cause = idx, fmt.Errorf("cluster: no executor for partition %d", pid)
+		return l
+	}
+	feed := rt.feeds[pid]
+	var refused map[int]bool // buckets that refused a row this round
+	for len(idx) > 0 {
+		task := idx[:min(len(idx), loadTaskRows)]
+		idx = idx[len(task):]
+		err := exec.DoBackground(func(p *storage.Partition) (int, error) {
+			for _, i := range task {
+				if refused[buckets[i]] {
+					l.retry = append(l.retry, i)
+					continue
+				}
+				r := rows[i]
+				err := p.Put(table, r.Key, r.Cols)
+				if err == nil && feed != nil {
+					err = feed.LogPut(table, r.Key, r.Cols)
+				}
+				if err == nil {
+					continue
+				}
+				if !c.retriable(err, true) {
+					return 0, err
+				}
+				if refused == nil {
+					refused = make(map[int]bool)
+				}
+				refused[buckets[i]] = true
+				l.retry, l.cause = append(l.retry, i), err
 			}
 			return 0, nil
 		})
-		if storage.IsNotOwned(err) ||
-			errors.Is(err, engine.ErrStopped) ||
-			errors.Is(err, replication.ErrFenced) ||
-			errors.Is(err, replication.ErrClosed) ||
-			errors.Is(err, replication.ErrQuorumLost) {
-			time.Sleep(c.cfg.retryInterval())
-			continue
+		if errors.Is(err, engine.ErrStopped) {
+			// The task never ran: retry it and the rest elsewhere.
+			l.retry, l.cause = append(append(l.retry, task...), idx...), err
+			return l
 		}
-		return err
+		if err != nil {
+			l.err = err
+			return l
+		}
 	}
-	return fmt.Errorf("cluster: LoadRow %q: bucket stayed in flight", key)
+	return l
+}
+
+// LoadRow inserts one row; see LoadRows.
+func (c *Cluster) LoadRow(table, key string, cols map[string]string) error {
+	return c.LoadRows(table, []storage.Row{{Key: key, Cols: cols}})
 }
 
 // TotalRows counts rows across all partitions. Counting runs through each

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 
 	"pstore/internal/engine"
+	"pstore/internal/storage"
 )
 
 func testRegistry() *engine.Registry {
@@ -197,6 +199,60 @@ func TestClusterLoadRow(t *testing.T) {
 	if c.OfferedLoad().Total() != 1 {
 		t.Errorf("offered = %d, want 1 (only the Get)", c.OfferedLoad().Total())
 	}
+}
+
+// TestLoadRowsLaterRowWins loads a key many times in one call, spread over
+// several executor tasks per partition: the last row for each key wins.
+func TestLoadRowsLaterRowWins(t *testing.T) {
+	c, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	const keys = 64 // divides len(rows), so key k last appears at len(rows)-keys+k
+	rows := make([]storage.Row, 10*loadTaskRows)
+	for i := range rows {
+		rows[i] = storage.Row{Key: fmt.Sprintf("k%d", i%keys), Cols: map[string]string{"v": strconv.Itoa(i)}}
+	}
+	if err := c.LoadRows("T", rows); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < keys; k++ {
+		want := strconv.Itoa(len(rows) - keys + k)
+		if res := c.Call(&engine.Txn{Proc: "Get", Key: fmt.Sprintf("k%d", k)}); res.Err != nil || res.Out["v"] != want {
+			t.Errorf("k%d = %q (%v), want %q", k, res.Out["v"], res.Err, want)
+		}
+	}
+	if n, _ := c.TotalRows(); n != keys {
+		t.Errorf("TotalRows = %d, want %d", n, keys)
+	}
+}
+
+// BenchmarkLoadRows measures bulk-load throughput: 200k rows into a fresh
+// in-memory 2×2 cluster per iteration, loaded by one LoadRows call.
+func BenchmarkLoadRows(b *testing.B) {
+	const n = 200_000
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		key := fmt.Sprintf("row-%08d", i)
+		rows[i] = storage.Row{Key: key, Cols: map[string]string{"v": key}}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := New(testConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := c.LoadRows("T", rows); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		c.Stop()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 func TestClusterStopIdempotent(t *testing.T) {

@@ -116,7 +116,7 @@ func (m *Manager) Append(proc, key string, args map[string]string, onDurable fun
 
 var _ engine.CommandLog = (*Manager)(nil)
 
-// AppendPut logs a direct row load (cluster.LoadRow through a replication
+// AppendPut logs a direct row load (cluster.LoadRows through a replication
 // feed). Asynchronous: the record rides the next group commit — bulk
 // preloads must not pay one fsync per row.
 func (m *Manager) AppendPut(table, key string, cols map[string]string) (uint64, error) {

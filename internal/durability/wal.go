@@ -42,7 +42,7 @@ const (
 	kindTxn       = 1 // a committed stored-procedure invocation
 	kindBucketIn  = 2 // bucket received from a peer, full contents inline
 	kindBucketOut = 3 // bucket handed off to a peer
-	kindPut       = 4 // a direct row load (cluster.LoadRow through a feed)
+	kindPut       = 4 // a direct row load (cluster.LoadRows through a feed)
 )
 
 // Exported record kinds for consumers of the tail reader (ReadFrom) — the

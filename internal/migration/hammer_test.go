@@ -11,6 +11,7 @@ import (
 	"pstore/internal/cluster"
 	"pstore/internal/engine"
 	"pstore/internal/metrics"
+	"pstore/internal/storage"
 )
 
 // TestHammerWritesDuringMove is the pre-copy protocol's correctness gauntlet:
@@ -296,5 +297,143 @@ func TestSeededBackoffDeterministic(t *testing.T) {
 		if d < base/2 || d > base+base/2 {
 			t.Errorf("backoff[%d] = %v outside ±50%% of %v", i, d, base)
 		}
+	}
+}
+
+// TestHammerLoadRowsDuringStopAndCopyMove bulk-loads through a scale-out
+// whose stop-and-copy moves leave buckets unowned between extract and
+// apply, and holds one bucket in that window for heldFor, far longer than
+// a fixed handful of routing retries lasts. A LoadRows aimed at the held
+// bucket must wait the window out and succeed, background loaders must
+// never fail, and every row must land exactly once: the cluster's content
+// checksum equals a single-partition oracle loaded with the same rows.
+func TestHammerLoadRowsDuringStopAndCopyMove(t *testing.T) {
+	const nBuckets, heldFor = 32, 100 * time.Millisecond
+	c, err := cluster.New(cluster.Config{
+		InitialNodes:      1,
+		PartitionsPerNode: 2,
+		NBuckets:          nBuckets,
+		Tables:            []string{"T"},
+		Registry:          testRegistry(),
+		Engine:            engine.Config{MigrationRowCost: 20 * time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	loadKeys(t, c, 400)
+
+	var mu sync.Mutex
+	hookCalls := make(map[int]int)
+	held := -1
+	inFlight := make(chan struct{})
+	opts := fastOpts()
+	opts.StopAndCopy = true
+	opts.Seed = 1
+	opts.FaultHook = func(bucket, from, to int) error {
+		mu.Lock()
+		hookCalls[bucket]++
+		// The second call per bucket sits between the routing repoint and
+		// the destination apply: the bucket is owned by no partition.
+		hold := hookCalls[bucket] == 2 && held == -1
+		if hold {
+			held = bucket
+		}
+		mu.Unlock()
+		if hold {
+			close(inFlight)
+			time.Sleep(heldFor)
+		}
+		return nil
+	}
+
+	m, err := Start(c, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Loaders journal every row they load, in order; keys repeat so the
+	// later-row-wins rule is exercised across moves too.
+	const loaders, chunk, keysPer = 2, 150, 400
+	journals := make([][]storage.Row, loaders)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < loaders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for seq := 0; ; {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rows := make([]storage.Row, chunk)
+				for i := range rows {
+					key := fmt.Sprintf("L%d-%d", g, seq%keysPer)
+					rows[i] = storage.Row{Key: key, Cols: map[string]string{"v": fmt.Sprint(seq)}}
+					seq++
+				}
+				if err := c.LoadRows("T", rows); err != nil {
+					t.Errorf("loader %d: %v", g, err)
+					return
+				}
+				journals[g] = append(journals[g], rows...)
+			}
+		}(g)
+	}
+
+	<-inFlight
+	mu.Lock()
+	bucket := held
+	mu.Unlock()
+	var heldRows []storage.Row
+	for i := 0; len(heldRows) < 40; i++ {
+		key := fmt.Sprintf("held-%d", i)
+		if i%3 == 0 || storage.BucketOf(key, nBuckets) == bucket {
+			heldRows = append(heldRows, storage.Row{Key: key, Cols: map[string]string{"v": key}})
+		}
+	}
+	start := time.Now()
+	if err := c.LoadRows("T", heldRows); err != nil {
+		t.Errorf("LoadRows into in-flight bucket %d: %v", bucket, err)
+	} else if waited := time.Since(start); waited < heldFor/2 {
+		t.Errorf("LoadRows returned after %v; bucket %d was held in flight for %v", waited, bucket, heldFor)
+	}
+	if _, err := m.Wait(); err != nil {
+		t.Error(err)
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	oracle, err := cluster.New(cluster.Config{
+		InitialNodes:      1,
+		PartitionsPerNode: 1,
+		NBuckets:          nBuckets,
+		Tables:            []string{"T"},
+		Registry:          testRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Stop()
+	loadKeys(t, oracle, 400)
+	for _, rows := range append(journals, heldRows) {
+		if err := oracle.LoadRows("T", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, rows, err := c.ContentChecksum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSum, wantRows, err := oracle.ContentChecksum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows != wantRows || sum != wantSum {
+		t.Errorf("cluster holds %d rows (sum %x), oracle %d rows (sum %x)", rows, sum, wantRows, wantSum)
 	}
 }

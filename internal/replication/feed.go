@@ -245,7 +245,7 @@ func (f *Feed) Append(proc, key string, args map[string]string, onDurable func(u
 	f.localDurable(lsn, nil)
 }
 
-// LogPut ships a direct row load (cluster.LoadRow). Asynchronous: bulk
+// LogPut ships a direct row load (cluster.LoadRows). Asynchronous: bulk
 // preloads must not block on per-row replica acks; ordering alone keeps
 // replicas consistent.
 func (f *Feed) LogPut(table, key string, cols map[string]string) error {

@@ -25,7 +25,7 @@ const (
 	RecTxn       byte = 1 // a committed stored-procedure invocation
 	RecBucketIn  byte = 2 // bucket received in a migration handoff, contents inline
 	RecBucketOut byte = 3 // bucket handed off to a peer
-	RecPut       byte = 4 // a direct row load (cluster.LoadRow)
+	RecPut       byte = 4 // a direct row load (cluster.LoadRows)
 )
 
 // Ship-stream message kinds, kept disjoint from record kinds so a frame's
