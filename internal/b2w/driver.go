@@ -3,6 +3,7 @@ package b2w
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -63,6 +64,8 @@ type Driver struct {
 	mixTotal int
 	mix      []mixEntry
 
+	skus []string // skus[i] is SKU i's key
+
 	mu        sync.Mutex
 	rng       *rand.Rand
 	carts     []string
@@ -82,6 +85,10 @@ func NewDriver(cfg DriverConfig) *Driver {
 	for _, m := range d.mix {
 		d.mixTotal += m.weight
 	}
+	d.skus = make([]string, cfg.StockItems)
+	for i := range d.skus {
+		d.skus[i] = d.skuKey(i)
+	}
 	return d
 }
 
@@ -98,57 +105,100 @@ const preloadChunkRows = 8192
 func (d *Driver) Preload(c *cluster.Cluster, carts int) error {
 	var l chunkLoader
 	for i := 0; i < d.cfg.StockItems; i += preloadChunkRows {
-		if err := l.load(c, TableStock, d.stockChunk(i, min(d.cfg.StockItems, i+preloadChunkRows))); err != nil {
+		rows := d.stockChunk(l.reuse(TableStock), i, min(d.cfg.StockItems, i+preloadChunkRows))
+		if err := l.load(c, TableStock, rows); err != nil {
 			return err
 		}
 	}
-	for i := 0; i < carts; i += preloadChunkRows {
-		chunk, err := d.cartChunk(min(carts-i, preloadChunkRows))
-		if err != nil {
+	// Every preloaded cart holds one line of one unit of a random SKU, so
+	// its value is one of StockItems strings: format each once.
+	lines := make([]string, len(d.skus))
+	for i, sku := range d.skus {
+		var err error
+		if lines[i], err = encodeLines([]Line{{SKU: sku, Quantity: 1, Price: 9.99}}); err != nil {
 			return errors.Join(err, l.wait())
 		}
-		if err := l.load(c, TableCart, chunk); err != nil {
+	}
+	// Size the cart pool once instead of regrowing it through every chunk.
+	d.mu.Lock()
+	if want := min(d.cfg.CartPool, len(d.carts)+carts); cap(d.carts) < want {
+		d.carts = slices.Grow(d.carts, want-len(d.carts))
+	}
+	d.mu.Unlock()
+	for i := 0; i < carts; i += preloadChunkRows {
+		rows := d.cartChunk(l.reuse(TableCart), min(carts-i, preloadChunkRows), lines)
+		if err := l.load(c, TableCart, rows); err != nil {
 			return err
 		}
 	}
 	return l.wait()
 }
 
-// stockChunk generates the catalog rows for SKUs [from, to).
-func (d *Driver) stockChunk(from, to int) []storage.Row {
-	chunk := make([]storage.Row, 0, to-from)
-	for i := from; i < to; i++ {
-		chunk = append(chunk, storage.Row{Key: d.skuKey(i), Cols: map[string]string{
-			"available": "1000000",
-			"reserved":  "0",
-			"sold":      "0",
-			"name":      "item " + strconv.Itoa(i),
-		}})
+// stockChunk generates the catalog rows for SKUs [from, to) into buf's
+// rows and maps.
+func (d *Driver) stockChunk(buf []storage.Row, from, to int) []storage.Row {
+	rows := slices.Grow(buf[:0], to-from)[:to-from]
+	for j := range rows {
+		i := from + j
+		cols := rows[j].Cols
+		if cols == nil {
+			cols = make(map[string]string, 4)
+		}
+		cols["available"] = "1000000"
+		cols["reserved"] = "0"
+		cols["sold"] = "0"
+		cols["name"] = "item " + strconv.Itoa(i)
+		rows[j] = storage.Row{Key: d.skus[i], Cols: cols}
 	}
-	return chunk
+	return rows
 }
 
-// cartChunk generates n preloaded cart rows, remembering each cart in the
-// pool as it goes.
-func (d *Driver) cartChunk(n int) ([]storage.Row, error) {
+// cartChunk generates n preloaded cart rows into buf's rows and maps,
+// remembering each cart in the pool as it goes. lines[i] is the value of a
+// cart holding SKU i.
+func (d *Driver) cartChunk(buf []storage.Row, n int, lines []string) []storage.Row {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	chunk := make([]storage.Row, n)
-	for j := range chunk {
+	rows := slices.Grow(buf[:0], n)[:n]
+	for j := range rows {
 		key := d.newCartKeyLocked()
-		lines, err := encodeLines([]Line{{SKU: d.randomSKULocked(), Quantity: 1, Price: 9.99}})
-		if err != nil {
-			return nil, err
+		cols := rows[j].Cols
+		if cols == nil {
+			cols = make(map[string]string, 2)
 		}
-		chunk[j] = storage.Row{Key: key, Cols: map[string]string{"lines": lines, "status": StatusOpen}}
+		cols["lines"] = lines[d.rng.Intn(d.cfg.StockItems)]
+		cols["status"] = StatusOpen
+		rows[j] = storage.Row{Key: key, Cols: cols}
 		d.rememberCartLocked(key)
 	}
-	return chunk, nil
+	return rows
 }
 
-// chunkLoader keeps at most one LoadRows call in flight.
+// chunkLoader keeps at most one LoadRows call in flight and hands the rows
+// of the chunk loaded before it back for reuse. Reuse is safe because
+// LoadRows retains neither rows nor their maps once it returns.
 type chunkLoader struct {
-	done chan error
+	done    chan error
+	loading chunk // the chunk in flight
+	spare   chunk // a loaded chunk, free for reuse
+}
+
+// chunk is one LoadRows call's rows.
+type chunk struct {
+	table string
+	rows  []storage.Row
+}
+
+// reuse returns a loaded chunk's rows if they belong to table, else nil.
+// Rows of one table carry the same columns, so their maps are overwritten
+// in place, never cleared.
+func (l *chunkLoader) reuse(table string) []storage.Row {
+	if l.spare.table != table {
+		return nil
+	}
+	rows := l.spare.rows
+	l.spare = chunk{}
+	return rows
 }
 
 // load waits for the chunk in flight, then starts loading rows.
@@ -157,17 +207,20 @@ func (l *chunkLoader) load(c *cluster.Cluster, table string, rows []storage.Row)
 		return err
 	}
 	l.done = make(chan error, 1)
+	l.loading = chunk{table: table, rows: rows}
 	go func(done chan<- error) { done <- c.LoadRows(table, rows) }(l.done)
 	return nil
 }
 
-// wait returns the result of the chunk in flight, if any.
+// wait returns the result of the chunk in flight, if any, and keeps its
+// rows for reuse.
 func (l *chunkLoader) wait() error {
 	if l.done == nil {
 		return nil
 	}
 	err := <-l.done
 	l.done = nil
+	l.spare, l.loading = l.loading, chunk{}
 	return err
 }
 
@@ -200,7 +253,7 @@ func (d *Driver) rememberCartLocked(key string) {
 }
 
 func (d *Driver) randomSKULocked() string {
-	return d.skuKey(d.rng.Intn(d.cfg.StockItems))
+	return d.skus[d.rng.Intn(d.cfg.StockItems)]
 }
 
 // Next produces the next transaction of the mix.

@@ -1151,6 +1151,11 @@ const loadTaskRows = 1024
 // partition's command log, riding the next group commit (never fsynced per
 // row). With k=0 loads are not logged at all, so call SnapshotAll after a
 // durable preload to checkpoint them.
+//
+// LoadRows keeps no reference to rows or their Cols maps once it returns:
+// Partition.Put encodes a row into the partition's arena, and Feed.LogPut
+// into its replication record and log record, before either returns. The
+// caller may reuse and mutate the rows and maps right after the call.
 func (c *Cluster) LoadRows(table string, rows []storage.Row) error {
 	buckets := make([]int, len(rows))
 	pending := make([]int, len(rows))

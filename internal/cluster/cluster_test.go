@@ -228,6 +228,84 @@ func TestLoadRowsLaterRowWins(t *testing.T) {
 	}
 }
 
+// TestLoadRowsRetainsNoRows pins LoadRows' contract that the caller may
+// reuse rows and their maps once it returns. With k=1 and a data directory,
+// a second call reuses and rewrites every map of the first, and then every
+// map is scribbled over again; the primaries, the standbys and the
+// recovered command log must all hold exactly what each call was given.
+func TestLoadRowsRetainsNoRows(t *testing.T) {
+	const n = 3000
+	cfg := replConfig(1)
+	cfg.Tables = []string{"T", "U"}
+	cfg.DataDir = t.TempDir()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		rows[i] = storage.Row{Key: fmt.Sprintf("k%d", i), Cols: map[string]string{"v": fmt.Sprintf("first-%d", i)}}
+	}
+	if err := c.LoadRows("T", rows); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		rows[i].Key = fmt.Sprintf("u%d", i)
+		rows[i].Cols["v"] = fmt.Sprintf("second-%d", i)
+		rows[i].Cols["w"] = "x"
+	}
+	if err := c.LoadRows("U", rows); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		rows[i].Key = "scribbled"
+		rows[i].Cols["v"] = "scribbled"
+		delete(rows[i].Cols, "w")
+	}
+
+	// The oracle loads the same content from maps nobody touches again.
+	ocfg := testConfig()
+	ocfg.Tables = cfg.Tables
+	oracle, err := New(ocfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Stop()
+	for i := 0; i < n; i++ {
+		if err := oracle.LoadRow("T", fmt.Sprintf("k%d", i), map[string]string{"v": fmt.Sprintf("first-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.LoadRow("U", fmt.Sprintf("u%d", i), map[string]string{"v": fmt.Sprintf("second-%d", i), "w": "x"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, wantRows, err := oracle.ContentChecksum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, rows, err := c.ContentChecksum(); err != nil || sum != want || rows != wantRows {
+		t.Fatalf("primaries hold %d rows (sum %x, %v), oracle %d rows (sum %x)", rows, sum, err, wantRows, want)
+	}
+	waitQuiesced(t, c)
+	if err := c.VerifyReplicas(); err != nil {
+		t.Fatalf("VerifyReplicas: %v", err)
+	}
+	c.Stop()
+
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	if !r.Recovered() {
+		t.Fatal("restart on the data directory did not recover")
+	}
+	if sum, rows, err := r.ContentChecksum(); err != nil || sum != want || rows != wantRows {
+		t.Fatalf("recovered %d rows (sum %x, %v), oracle %d rows (sum %x)", rows, sum, err, wantRows, want)
+	}
+}
+
 // BenchmarkLoadRows measures bulk-load throughput: 200k rows into a fresh
 // in-memory 2×2 cluster per iteration, loaded by one LoadRows call.
 func BenchmarkLoadRows(b *testing.B) {

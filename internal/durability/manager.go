@@ -91,6 +91,9 @@ func (m *Manager) Dir() string { return m.dir }
 // Appended returns the number of records appended since Open.
 func (m *Manager) Appended() int64 { return m.appended.Load() }
 
+// Fsyncs returns how many times the log's segment files have been fsynced.
+func (m *Manager) Fsyncs() int64 { return m.log.fsyncs.Load() }
+
 // Seq returns the last assigned log sequence number.
 func (m *Manager) Seq() uint64 { return m.seq.Load() }
 
@@ -115,6 +118,15 @@ func (m *Manager) Append(proc, key string, args map[string]string, onDurable fun
 }
 
 var _ engine.CommandLog = (*Manager)(nil)
+
+// AppendTxn logs a committed transaction without a durable callback, so
+// it starts no group commit of its own: the record rides the next one, or
+// a Flush/FlushAsync the caller issues once for a whole batch.
+func (m *Manager) AppendTxn(proc, key string, args map[string]string) (uint64, error) {
+	m.appended.Add(1)
+	seq := m.seq.Add(1)
+	return seq, m.log.append(&Record{Seq: seq, Kind: kindTxn, Proc: proc, Key: key, Args: args}, nil)
+}
 
 // AppendPut logs a direct row load (cluster.LoadRows through a replication
 // feed). Asynchronous: the record rides the next group commit — bulk

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -103,6 +104,8 @@ type wal struct {
 	// mu > syncMu — syncMu may be taken under mu, never the reverse.
 	syncMu sync.Mutex
 	genErr error // outcome of the sync that retired the last fileGen; guarded by syncMu
+
+	fsyncs atomic.Int64 // fsyncs of segment files
 
 	wake chan struct{} // nudges the committer when a batch fills
 	stop chan struct{}
@@ -202,6 +205,7 @@ func (l *wal) openSegmentLocked(n int) error {
 		// fsync either beat the rotation or sees the generation bump and
 		// skips the closed handle (this sync already covered its bytes).
 		l.syncMu.Lock()
+		l.fsyncs.Add(1)
 		err := l.file.Sync()
 		if cerr := l.file.Close(); err == nil {
 			err = cerr
@@ -354,6 +358,7 @@ func (l *wal) fsyncDetached(cbs []func(error), f *os.File, gen uint64, err error
 	l.syncMu.Lock()
 	if err == nil {
 		if gen == l.fileGen {
+			l.fsyncs.Add(1)
 			err = f.Sync()
 		} else {
 			err = l.genErr
@@ -375,6 +380,7 @@ func (l *wal) syncLocked() ([]func(error), error) {
 		err = ferr
 	}
 	if err == nil {
+		l.fsyncs.Add(1)
 		if serr := l.file.Sync(); serr != nil {
 			err = serr
 		}

@@ -174,9 +174,9 @@ func TestDurableReplicaApplyIdempotencyAndGaps(t *testing.T) {
 func TestDurableReplicaAckIsDurableHorizon(t *testing.T) {
 	rig := newShipRig(t, Options{Seed: 1})
 	dir := t.TempDir()
-	// Huge group-commit interval: nothing becomes durable without Sync. The
-	// record is a row load: a logged transaction's durable callback starts
-	// a group commit at once (eager wake), which would race the check below.
+	// Huge group-commit interval: nothing becomes durable without Sync, and
+	// a standby logs transactions without a durable callback, so no eager
+	// group commit starts either.
 	rep, err := OpenReplica(0, 16, "standby", testReg(), dir,
 		durability.Options{GroupCommitInterval: time.Hour}, rig.opts, newTestEvents())
 	if err != nil {
@@ -184,7 +184,7 @@ func TestDurableReplicaAckIsDurableHorizon(t *testing.T) {
 	}
 	defer rep.Kill()
 
-	r := &Record{LSN: 1, Epoch: 1, Kind: RecPut, Tab: "T", Key: "k",
+	r := &Record{LSN: 1, Epoch: 1, Kind: RecTxn, Proc: "Put", Key: "k",
 		Args: map[string]string{"v": "1"}}
 	if err := rep.Apply(r); err != nil {
 		t.Fatal(err)

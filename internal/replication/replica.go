@@ -327,7 +327,9 @@ func (r *Replica) wakeLocked() {
 // blocking bucket-record fsyncs off the Apply path, which pstore-vet holds
 // to the executor never-block rule. Log seq stays aligned with the
 // replica's applied LSN; bucket records fsync synchronously exactly as
-// they do on a primary.
+// they do on a primary. Transaction and row-load records start no group
+// commit: the tail's flush at each drained batch (SyncAsync) makes the
+// whole batch durable with one fsync and advances the ackable horizon.
 func (r *Replica) LogRecord(rec *Record) error {
 	r.mu.Lock()
 	mgr := r.mgr
@@ -338,11 +340,7 @@ func (r *Replica) LogRecord(rec *Record) error {
 	var err error
 	switch rec.Kind {
 	case RecTxn:
-		mgr.Append(rec.Proc, rec.Key, rec.Args, func(lsn uint64, aerr error) {
-			if aerr == nil {
-				r.advanceDurable(lsn)
-			}
-		})
+		_, err = mgr.AppendTxn(rec.Proc, rec.Key, rec.Args)
 	case RecPut:
 		_, err = mgr.AppendPut(rec.Tab, rec.Key, rec.Args)
 	case RecBucketOut:

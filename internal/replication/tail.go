@@ -178,7 +178,7 @@ func (t *Tail) session() error {
 
 	// Group fsync + pipelined ack: at each drained read buffer the replica
 	// flushes its command log ONCE for every record applied since the last
-	// drain and acks when the flush lands — a durable replica's ack is a
+	// flush and acks when the flush lands — a durable replica's ack is a
 	// durability promise. The flush is asynchronous (requestSync on the
 	// standby WAL), so the session keeps applying batch N+1 while batch N's
 	// fsync is in flight; the callback runs on the WAL's group-commit
@@ -207,10 +207,10 @@ func (t *Tail) session() error {
 		if err != nil {
 			return err
 		}
-		if isHeartbeat(payload) {
-			continue
-		}
 		switch {
+		case isHeartbeat(payload):
+			// Liveness only; still falls through to the drain check, since
+			// it may be the last frame of a buffer that carried records.
 		case len(payload) > 0 && payload[0] == msgBatch:
 			count, rest, err := splitBatch(payload)
 			if err != nil {
@@ -243,7 +243,7 @@ func (t *Tail) session() error {
 			}
 			sinceSync++
 		}
-		if br.Buffered() == 0 {
+		if br.Buffered() == 0 && sinceSync > 0 {
 			t.events.Observe(metrics.HistReplStandbyFsyncBatch, sinceSync)
 			sinceSync = 0
 			t.rep.SyncAsync(ackDurable)

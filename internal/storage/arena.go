@@ -10,15 +10,22 @@
 // alive (GC-safe) but the table stops retaining them.
 package storage
 
-// arenaPageSize is the default slab size. Tuples larger than a quarter page
-// get a dedicated exact-size page so one jumbo document cannot strand most
-// of a slab.
-const arenaPageSize = 64 << 10
+// arenaPageSize is the largest regular slab. A bucket's first page is
+// sized to its first tuple, from arenaFirstPage up, and each later page
+// doubles up to arenaPageSize, so a bucket holding a handful of rows costs
+// hundreds of bytes, not a full slab, while a large bucket still settles on
+// full slabs. Tuples larger than a quarter of arenaPageSize get a dedicated
+// exact-size page so one jumbo document cannot strand most of a slab.
+const (
+	arenaPageSize  = 64 << 10
+	arenaFirstPage = 512
+)
 
 // arena is a bump allocator over append-only pages.
 type arena struct {
 	pages    [][]byte // pages[len-1] is the active page
 	retained int      // Σ cap(page): bytes held from the allocator
+	last     int      // capacity of the newest regular page; 0 before the first
 }
 
 // place copies t into the arena and returns the stable internal alias.
@@ -37,8 +44,13 @@ func (a *arena) place(t []byte) []byte {
 	}
 	n := len(a.pages)
 	if n == 0 || cap(a.pages[n-1])-len(a.pages[n-1]) < len(t) {
-		a.pages = append(a.pages, make([]byte, 0, arenaPageSize))
-		a.retained += arenaPageSize
+		size := max(arenaFirstPage, min(2*a.last, arenaPageSize))
+		for size < len(t) {
+			size *= 2
+		}
+		a.pages = append(a.pages, make([]byte, 0, size))
+		a.retained += size
+		a.last = size
 		n = len(a.pages)
 	}
 	p := a.pages[n-1]

@@ -94,20 +94,11 @@ func sameFields(a, b *Schema) bool {
 	return slices.Equal(a.fieldNames(), b.fieldNames())
 }
 
-// internSorted interns any of cols' names the schema has not seen, in
-// sorted name order. Sorting makes ID assignment a function of the column
-// set alone — never of Go map iteration order — so a replayed command log
-// reproduces the same schema, tuple for tuple.
+// internSorted interns cols' names the schema has not seen, in sorted name
+// order. Sorting makes ID assignment a function of the column set alone —
+// never of Go map iteration order — so a replayed command log reproduces
+// the same schema, tuple for tuple.
 func (s *Schema) internSorted(cols map[string]string) {
-	missing := 0
-	for name := range cols {
-		if _, ok := s.ids[name]; !ok {
-			missing++
-		}
-	}
-	if missing == 0 {
-		return
-	}
 	var arr [16]string
 	add := arr[:0]
 	//pstore:ignore determinism — missing names are collected, then sorted below; interning order is a function of the column set only
@@ -131,12 +122,17 @@ type tupleField struct {
 // appendTuple encodes (key, cols) against schema onto buf, interning any
 // new column names (sorted) first. Owner goroutine only.
 func appendTuple(buf []byte, s *Schema, key string, cols map[string]string) []byte {
-	s.internSorted(cols)
 	var arr [16]tupleField
 	fields := arr[:0]
 	//pstore:ignore determinism — fields are sorted by interned ID below before any byte is emitted
 	for name, val := range cols {
-		id, _ := s.ids[name]
+		id, ok := s.ids[name]
+		if !ok {
+			// A column the schema has not seen: intern every new name of
+			// the row at once, then encode against the grown schema.
+			s.internSorted(cols)
+			return appendTuple(buf, s, key, cols)
+		}
 		fields = append(fields, tupleField{id: id, val: val})
 	}
 	slices.SortFunc(fields, func(a, b tupleField) int { return int(a.id) - int(b.id) })
