@@ -1,14 +1,13 @@
 package durability
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"sync/atomic"
 	"time"
 
 	"pstore/internal/engine"
+	"pstore/internal/logrec"
 	"pstore/internal/storage"
 )
 
@@ -102,50 +101,44 @@ func (m *Manager) Seq() uint64 { return m.seq.Load() }
 // that must continue its primary's LSN space.
 func (m *Manager) SetBaseSeq(n uint64) { m.seq.Store(n) }
 
+// Log appends rec under the next LSN, which it stamps into rec.LSN. Bucket
+// handoff records are fsynced before Log returns, so the handoff is on disk
+// when it does. Other records ride the group commit: onDurable, if non-nil,
+// runs once the record is on stable storage or its write has failed, a
+// failure Log returns included. Without onDurable the record starts no
+// group commit of its own; the next one, or a Flush, makes it durable.
+func (m *Manager) Log(rec *logrec.Record, onDurable func(lsn uint64, err error)) error {
+	m.appended.Add(1)
+	lsn := m.seq.Add(1)
+	rec.LSN = lsn
+	var cb func(error)
+	if onDurable != nil {
+		cb = func(err error) { onDurable(lsn, err) }
+	}
+	if err := m.log.append(rec, cb); err != nil {
+		if onDurable != nil {
+			onDurable(lsn, err)
+		}
+		return err
+	}
+	if rec.Kind == logrec.BucketIn || rec.Kind == logrec.BucketOut {
+		return m.log.sync()
+	}
+	return nil
+}
+
 // Append implements engine.CommandLog: it logs a committed transaction and
 // runs onDurable after the record is fsynced (group commit).
 func (m *Manager) Append(proc, key string, args map[string]string, onDurable func(uint64, error)) {
-	m.appended.Add(1)
-	seq := m.seq.Add(1)
-	var cb func(error)
-	if onDurable != nil {
-		cb = func(err error) { onDurable(seq, err) }
-	}
-	err := m.log.append(&Record{Seq: seq, Kind: kindTxn, Proc: proc, Key: key, Args: args}, cb)
-	if err != nil && onDurable != nil {
-		onDurable(seq, err)
-	}
+	_ = m.Log(&logrec.Record{Kind: logrec.Txn, Proc: proc, Key: key, Args: args}, onDurable) // the error reaches onDurable
 }
 
 var _ engine.CommandLog = (*Manager)(nil)
 
-// AppendTxn logs a committed transaction without a durable callback, so
-// it starts no group commit of its own: the record rides the next one, or
-// a Flush/FlushAsync the caller issues once for a whole batch.
-func (m *Manager) AppendTxn(proc, key string, args map[string]string) (uint64, error) {
-	m.appended.Add(1)
-	seq := m.seq.Add(1)
-	return seq, m.log.append(&Record{Seq: seq, Kind: kindTxn, Proc: proc, Key: key, Args: args}, nil)
-}
-
-// AppendPut logs a direct row load (cluster.LoadRows through a replication
-// feed). Asynchronous: the record rides the next group commit — bulk
-// preloads must not pay one fsync per row.
-func (m *Manager) AppendPut(table, key string, cols map[string]string) (uint64, error) {
-	m.appended.Add(1)
-	seq := m.seq.Add(1)
-	return seq, m.log.append(&Record{Seq: seq, Kind: kindPut, Tab: table, Key: key, Args: cols}, nil)
-}
-
 // LogBucketOut durably records that the partition handed the bucket to a
 // peer. Synchronous: the handoff is on disk when it returns.
 func (m *Manager) LogBucketOut(bucket int) error {
-	m.appended.Add(1)
-	seq := m.seq.Add(1)
-	if err := m.log.append(&Record{Seq: seq, Kind: kindBucketOut, Bucket: bucket}, nil); err != nil {
-		return err
-	}
-	return m.log.sync()
+	return m.Log(&logrec.Record{Kind: logrec.BucketOut, Bucket: bucket}, nil)
 }
 
 // LogBucketIn durably records a bucket received from a peer, contents
@@ -153,16 +146,7 @@ func (m *Manager) LogBucketOut(bucket int) error {
 // reproduces the bucket without consulting the sender's history.
 // Synchronous: the caller may apply the bucket once this returns.
 func (m *Manager) LogBucketIn(data *storage.BucketData) error {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return err
-	}
-	m.appended.Add(1)
-	seq := m.seq.Add(1)
-	if err := m.log.append(&Record{Seq: seq, Kind: kindBucketIn, Bucket: data.Bucket, Data: raw}, nil); err != nil {
-		return err
-	}
-	return m.log.sync()
+	return m.Log(&logrec.Record{Kind: logrec.BucketIn, Bucket: data.Bucket, Data: data}, nil)
 }
 
 // Snapshot persists the partition's full contents, rotates the log and
@@ -195,78 +179,79 @@ func (m *Manager) Recover(part *storage.Partition, reg *engine.Registry) (Replay
 	if part.ID() != m.part {
 		return stats, fmt.Errorf("durability: manager for partition %d asked to recover partition %d", m.part, part.ID())
 	}
-	fromSeg, snapSeq, found, err := loadSnapshot(m.dir, part)
+	fromSeg, seq, found, err := loadSnapshot(m.dir, part)
 	if err != nil {
 		return stats, err
 	}
 	stats.SnapshotLoaded = found
-	seq := snapSeq
-	err = replaySegments(m.dir, fromSeg, func(rec *Record) error {
-		// Restore the LSN counter. Legacy records without a Seq advance it
-		// by one each, which matches how they would have been stamped.
-		if rec.Seq > 0 {
-			seq = rec.Seq
-		} else {
-			seq++
-		}
-		switch rec.Kind {
-		case kindTxn:
-			if err := engine.ReplayTxn(reg, part, rec.Proc, rec.Key, rec.Args); err != nil {
-				if isNotOwnedErr(err) {
-					// A command for a bucket the partition no longer owns:
-					// its effects live (and were replayed) at the bucket's
-					// new home. Can only happen for records logged just
-					// before a handoff of the same bucket.
-					stats.Skipped++
-					return nil
-				}
-				return err
-			}
-			stats.Txns++
-		case kindBucketIn:
-			var data storage.BucketData
-			if err := json.Unmarshal(rec.Data, &data); err != nil {
-				return fmt.Errorf("durability: bucket-in record: %w", err)
-			}
-			// Idempotent: drop any stale copy before applying the logged
-			// authoritative contents.
-			if part.Owns(data.Bucket) {
-				if err := part.DropBucket(data.Bucket); err != nil {
-					return err
-				}
-			}
-			if err := part.ApplyBucket(&data); err != nil {
-				return err
-			}
-			stats.FromHandoff[data.Bucket] = true
-			stats.BucketsIn++
-		case kindBucketOut:
-			if part.Owns(rec.Bucket) {
-				if err := part.DropBucket(rec.Bucket); err != nil {
-					return err
-				}
-				delete(stats.FromHandoff, rec.Bucket)
-				stats.BucketsOut++
-			} else {
-				stats.Skipped++
-			}
-		case kindPut:
-			if !part.OwnsKey(rec.Key) {
-				stats.Skipped++
-				return nil
-			}
-			part.CreateTable(rec.Tab)
-			if err := part.Put(rec.Tab, rec.Key, rec.Args); err != nil {
-				return err
-			}
-			stats.Txns++
-		default:
-			return fmt.Errorf("durability: unknown record kind %d", rec.Kind)
-		}
-		return nil
+	err = replaySegments(m.dir, fromSeg, func(rec *logrec.Record) error {
+		seq = rec.LSN
+		return Apply(reg, part, rec, &stats)
 	})
 	m.seq.Store(seq)
 	return stats, err
+}
+
+// Apply applies one record to the partition: the one apply path recovery
+// and replicas share. A transaction or row load whose key, or a bucket-out
+// whose bucket, the partition does not own is skipped — it was logged just
+// before the bucket left, and its effects live at the bucket's new home. A
+// bucket-in replaces any stale copy, so it is idempotent. stats, when
+// non-nil, counts what was applied and skipped.
+func Apply(reg *engine.Registry, part *storage.Partition, rec *logrec.Record, stats *ReplayStats) error {
+	var discard ReplayStats
+	if stats == nil {
+		stats = &discard
+	}
+	switch rec.Kind {
+	case logrec.Txn, logrec.Put:
+		if !part.OwnsKey(rec.Key) {
+			stats.Skipped++
+			return nil
+		}
+		var err error
+		if rec.Kind == logrec.Txn {
+			err = engine.ReplayTxn(reg, part, rec.Proc, rec.Key, rec.Args)
+		} else {
+			part.CreateTable(rec.Tab)
+			err = part.Put(rec.Tab, rec.Key, rec.Args)
+		}
+		if storage.IsNotOwned(err) {
+			// The procedure reached into another bucket that has left.
+			stats.Skipped++
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		stats.Txns++
+	case logrec.BucketIn:
+		if part.Owns(rec.Bucket) {
+			if err := part.DropBucket(rec.Bucket); err != nil {
+				return err
+			}
+		}
+		if err := part.ApplyBucket(rec.Data); err != nil {
+			return err
+		}
+		if stats.FromHandoff != nil {
+			stats.FromHandoff[rec.Bucket] = true
+		}
+		stats.BucketsIn++
+	case logrec.BucketOut:
+		if !part.Owns(rec.Bucket) {
+			stats.Skipped++
+			return nil
+		}
+		if err := part.DropBucket(rec.Bucket); err != nil {
+			return err
+		}
+		delete(stats.FromHandoff, rec.Bucket)
+		stats.BucketsOut++
+	default:
+		return fmt.Errorf("durability: cannot apply record kind %d", rec.Kind)
+	}
+	return nil
 }
 
 // ReadFrom streams every durable record with Seq > afterSeq, in order, to
@@ -277,18 +262,13 @@ func (m *Manager) Recover(part *storage.Partition, reg *engine.Registry) (Replay
 // feed buffer or retries. Records logged before the latest snapshot are
 // gone (truncated); the caller detects the gap from the first record's Seq
 // and falls back to a full snapshot.
-func (m *Manager) ReadFrom(afterSeq uint64, fn func(*Record) error) error {
-	return replaySegments(m.dir, 0, func(rec *Record) error {
-		if rec.Seq <= afterSeq {
+func (m *Manager) ReadFrom(afterSeq uint64, fn func(*logrec.Record) error) error {
+	return replaySegments(m.dir, 0, func(rec *logrec.Record) error {
+		if rec.LSN <= afterSeq {
 			return nil
 		}
 		return fn(rec)
 	})
-}
-
-func isNotOwnedErr(err error) bool {
-	var notOwned *storage.ErrNotOwned
-	return errors.As(err, &notOwned)
 }
 
 // Flush forces pending appends to stable storage.

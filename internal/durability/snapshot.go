@@ -2,43 +2,29 @@ package durability
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"pstore/internal/logrec"
 	"pstore/internal/storage"
 )
 
-// snapshotHeader opens a snapshot file: where replay resumes and what the
-// partition looked like.
-type snapshotHeader struct {
-	Partition int      `json:"partition"`
-	NBuckets  int      `json:"nbuckets"`
-	Seg       int      `json:"seg"`           // first WAL segment to replay after loading
-	Seq       uint64   `json:"seq,omitempty"` // LSN covered by the snapshot; replay resumes after it
-	Tables    []string `json:"tables"`
-	Buckets   int      `json:"buckets"` // bucket records following the header
-}
-
-// A snapshot file is a JSON stream: one snapshotHeader, then Buckets
-// storage.BucketData values. Files are written to a temp name, fsynced and
-// renamed into place, so a snapshot is either complete or absent. The file
-// is named after the WAL segment replay resumes from, making
-// snapshot/segment pairing visible in a directory listing.
+// A snapshot file is a logrec.Snapshot header record — the partition, its
+// bucket count and tables, the LSN the snapshot covers and how many bucket
+// records follow — then one logrec.BucketIn record per owned bucket, each
+// in the WAL's checksummed frame. Files are written to a temp name, fsynced
+// and renamed into place, so a snapshot is either complete or absent: a bad
+// frame in one is corruption, never a torn tail, because the log it
+// replaces is already truncated. The file is named after the WAL segment
+// replay resumes from, making snapshot/segment pairing visible in a
+// directory listing.
 
 // writeSnapshot persists the partition's full contents. The caller must
 // hold exclusive access to the partition (the executor's goroutine, or
 // recovery before executors start).
 func writeSnapshot(dir string, part *storage.Partition, seg int, seq uint64) error {
-	hdr := snapshotHeader{
-		Partition: part.ID(),
-		NBuckets:  part.NBuckets(),
-		Seg:       seg,
-		Seq:       seq,
-		Tables:    part.Tables(),
-		Buckets:   len(part.OwnedBuckets()),
-	}
+	owned := part.OwnedBuckets()
 	tmp := filepath.Join(dir, snapshotName(seg)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -46,18 +32,20 @@ func writeSnapshot(dir string, part *storage.Partition, seg int, seq uint64) err
 	}
 	defer os.Remove(tmp) // no-op after a successful rename
 	w := bufio.NewWriterSize(f, 1<<16)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(&hdr); err != nil {
+	buf := logrec.AppendFrame(nil, &logrec.Record{Kind: logrec.Snapshot, LSN: seq,
+		Part: part.ID(), NBuckets: part.NBuckets(), Count: len(owned), Tables: part.Tables()})
+	if _, err := w.Write(buf); err != nil {
 		f.Close()
 		return err
 	}
-	for _, b := range part.OwnedBuckets() {
+	for _, b := range owned {
 		data, err := part.CopyBucket(b)
 		if err != nil {
 			f.Close()
 			return err
 		}
-		if err := enc.Encode(data); err != nil {
+		buf = logrec.AppendFrame(buf[:0], &logrec.Record{Kind: logrec.BucketIn, LSN: seq, Bucket: b, Data: data})
+		if _, err := w.Write(buf); err != nil {
 			f.Close()
 			return err
 		}
@@ -82,7 +70,9 @@ func writeSnapshot(dir string, part *storage.Partition, seg int, seq uint64) err
 // loadSnapshot restores the latest snapshot in dir into the (empty)
 // partition, returning the WAL segment replay resumes from and the LSN the
 // snapshot covers. With no snapshot present it returns (0, 0, false, nil):
-// replay starts from the beginning of the log.
+// replay starts from the beginning of the log. Any bad frame, a missing
+// header or fewer bucket records than the header promises is an error
+// naming the file.
 func loadSnapshot(dir string, part *storage.Partition) (seg int, seq uint64, found bool, err error) {
 	snaps, err := listNumbered(dir, "snap-", ".snap")
 	if err != nil {
@@ -92,38 +82,44 @@ func loadSnapshot(dir string, part *storage.Partition) (seg int, seq uint64, fou
 		return 0, 0, false, nil
 	}
 	n := snaps[len(snaps)-1]
-	f, err := os.Open(filepath.Join(dir, snapshotName(n)))
+	name := snapshotName(n)
+	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReaderSize(f, 1<<16))
-	var hdr snapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return 0, 0, false, fmt.Errorf("durability: snapshot %s header: %w", snapshotName(n), err)
+	r := bufio.NewReaderSize(f, 1<<16)
+	var buf []byte
+	hdr, err := logrec.ReadFrame(r, &buf)
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("durability: snapshot %s header: %w", name, err)
 	}
-	if hdr.Partition != part.ID() {
-		return 0, 0, false, fmt.Errorf("durability: snapshot %s is for partition %d, not %d",
-			snapshotName(n), hdr.Partition, part.ID())
+	if hdr.Kind != logrec.Snapshot {
+		return 0, 0, false, fmt.Errorf("durability: snapshot %s has no header (first record kind %d)", name, hdr.Kind)
+	}
+	if hdr.Part != part.ID() {
+		return 0, 0, false, fmt.Errorf("durability: snapshot %s is for partition %d, not %d", name, hdr.Part, part.ID())
 	}
 	if hdr.NBuckets != part.NBuckets() {
 		return 0, 0, false, fmt.Errorf("durability: snapshot %s has %d buckets, cluster has %d",
-			snapshotName(n), hdr.NBuckets, part.NBuckets())
+			name, hdr.NBuckets, part.NBuckets())
 	}
 	for _, t := range hdr.Tables {
 		part.CreateTable(t)
 	}
-	for i := 0; i < hdr.Buckets; i++ {
-		var data storage.BucketData
-		if err := dec.Decode(&data); err != nil {
-			return 0, 0, false, fmt.Errorf("durability: snapshot %s bucket %d/%d: %w",
-				snapshotName(n), i+1, hdr.Buckets, err)
+	for i := 0; i < hdr.Count; i++ {
+		rec, err := logrec.ReadFrame(r, &buf)
+		if err == nil && rec.Kind != logrec.BucketIn {
+			err = fmt.Errorf("not a bucket record (kind %d)", rec.Kind)
 		}
-		if err := part.ApplyBucket(&data); err != nil {
+		if err != nil {
+			return 0, 0, false, fmt.Errorf("durability: snapshot %s bucket %d/%d: %w", name, i+1, hdr.Count, err)
+		}
+		if err := part.ApplyBucket(rec.Data); err != nil {
 			return 0, 0, false, err
 		}
 	}
-	return hdr.Seg, hdr.Seq, true, nil
+	return n, hdr.LSN, true, nil
 }
 
 // pruneSnapshots removes all snapshots older than keep (a segment number).

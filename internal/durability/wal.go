@@ -18,11 +18,8 @@ package durability
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -31,45 +28,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pstore/internal/logrec"
 )
 
 // ErrClosed is returned for appends to a closed log.
 var ErrClosed = errors.New("durability: log closed")
-
-// Record kinds. A command log mostly holds transactions; bucket-in/out
-// records make migration ownership handoffs durable, so a partition's log
-// is self-contained: replaying it never needs another partition's history.
-const (
-	kindTxn       = 1 // a committed stored-procedure invocation
-	kindBucketIn  = 2 // bucket received from a peer, full contents inline
-	kindBucketOut = 3 // bucket handed off to a peer
-	kindPut       = 4 // a direct row load (cluster.LoadRows through a feed)
-)
-
-// Exported record kinds for consumers of the tail reader (ReadFrom) — the
-// replication feed re-encodes durable records as ship frames.
-const (
-	KindTxn       = kindTxn
-	KindBucketIn  = kindBucketIn
-	KindBucketOut = kindBucketOut
-	KindPut       = kindPut
-)
-
-// Record is one durable log entry.
-type Record struct {
-	// Seq is the record's log sequence number, contiguous per partition.
-	// It doubles as the replication LSN: a replica subscribed at LSN n can
-	// be caught up from disk by streaming records with Seq > n.
-	Seq  uint64            `json:"s,omitempty"`
-	Kind int               `json:"k"`
-	Proc string            `json:"p,omitempty"`
-	Key  string            `json:"key,omitempty"`
-	Tab  string            `json:"t,omitempty"` // kindPut's table
-	Args map[string]string `json:"a,omitempty"`
-	// Bucket and Data carry migration handoffs (kindBucketIn/kindBucketOut).
-	Bucket int             `json:"b,omitempty"`
-	Data   json.RawMessage `json:"d,omitempty"`
-}
 
 // walOptions tunes the log. Zero values select the defaults documented on
 // Options.
@@ -116,7 +80,6 @@ const (
 	defaultSyncInterval = 2 * time.Millisecond
 	defaultBatchSize    = 64
 	defaultSegmentBytes = 4 << 20
-	frameHeaderSize     = 8 // uint32 length + uint32 crc32
 )
 
 func segmentName(n int) string  { return fmt.Sprintf("wal-%08d.log", n) }
@@ -246,29 +209,20 @@ func syncDir(dir string) error {
 // append writes the record and registers onDurable to run after the next
 // fsync covering it. onDurable may be nil (the caller will force a sync and
 // does not need a callback).
-func (l *wal) append(rec *Record, onDurable func(error)) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-
+func (l *wal) append(rec *logrec.Record, onDurable func(error)) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	// Encode straight into the writer's free space: no staging copy when
+	// the frame fits.
+	frame := logrec.AppendFrame(l.w.AvailableBuffer(), rec)
+	if _, err := l.w.Write(frame); err != nil {
 		l.mu.Unlock()
 		return err
 	}
-	if _, err := l.w.Write(payload); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.segSize += int64(frameHeaderSize + len(payload))
+	l.segSize += int64(len(frame))
 	rotate := l.segSize >= l.opts.segmentBytes
 	if rotate {
 		if err := l.openSegmentLocked(l.seg + 1); err != nil {
@@ -522,7 +476,7 @@ func (l *wal) crash() {
 // fromSeg, in order, to fn. A corrupt or torn record ends the replay of the
 // whole log silently (torn tail semantics): nothing after it was
 // acknowledged, so nothing after it may be replayed either.
-func replaySegments(dir string, fromSeg int, fn func(*Record) error) error {
+func replaySegments(dir string, fromSeg int, fn func(*logrec.Record) error) error {
 	segs, err := listNumbered(dir, "wal-", ".log")
 	if err != nil {
 		return err
@@ -542,39 +496,28 @@ func replaySegments(dir string, fromSeg int, fn func(*Record) error) error {
 	return nil
 }
 
-// replayOneSegment reads one segment, reporting whether it ended cleanly.
-func replayOneSegment(path string, fn func(*Record) error) (intact bool, err error) {
+// replayOneSegment reads one segment, reporting whether it ended cleanly. A
+// frame whose checksum holds but whose record does not decode was written
+// that way — by an incompatible build, say — and fails the replay loudly.
+func replayOneSegment(path string, fn func(*logrec.Record) error) (intact bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return false, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
-	var hdr [frameHeaderSize]byte
+	var buf []byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return true, nil
-			}
-			return false, nil // torn header
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > 1<<30 {
-			return false, nil // garbage length: treat as torn
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return false, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return false, nil // corrupt record
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := logrec.ReadFrame(r, &buf)
+		switch {
+		case err == io.EOF:
+			return true, nil
+		case errors.Is(err, logrec.ErrTorn):
+			return false, nil
+		case err != nil:
 			return false, fmt.Errorf("durability: undecodable record in %s: %w", path, err)
 		}
-		if err := fn(&rec); err != nil {
+		if err := fn(rec); err != nil {
 			return false, err
 		}
 	}

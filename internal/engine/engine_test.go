@@ -180,7 +180,7 @@ func TestExecutorDoMigrationWork(t *testing.T) {
 }
 
 func TestExecutorRecordsLatencies(t *testing.T) {
-	rec := metrics.NewLatencyRecorder(time.Second)
+	rec := metrics.NewShardedRecorder(time.Second)
 	e := newTestExecutor(Config{Recorder: rec})
 	defer e.Stop()
 	for i := 0; i < 10; i++ {

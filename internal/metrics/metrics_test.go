@@ -105,7 +105,7 @@ func TestTopFractionCDF(t *testing.T) {
 }
 
 func TestLatencyRecorderWindows(t *testing.T) {
-	r := NewLatencyRecorder(time.Second)
+	r := NewShardedRecorder(time.Second)
 	base := time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC)
 	// Window 0: 100 obs of 10ms with one 600ms outlier at the p99 edge.
 	for i := 0; i < 99; i++ {
@@ -137,7 +137,7 @@ func TestLatencyRecorderWindows(t *testing.T) {
 }
 
 func TestLatencyRecorderConcurrent(t *testing.T) {
-	r := NewLatencyRecorder(time.Second)
+	r := NewShardedRecorder(time.Second)
 	base := time.Now()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -160,7 +160,7 @@ func TestLatencyRecorderConcurrent(t *testing.T) {
 // and per-window stats stay intact, and late records into evicted windows
 // are dropped and counted.
 func TestLatencyRecorderRetention(t *testing.T) {
-	r := NewLatencyRecorder(time.Second)
+	r := NewShardedRecorder(time.Second)
 	r.SetRetention(5 * time.Second)
 	base := time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 60; i++ {
@@ -200,7 +200,7 @@ func TestLatencyRecorderRetention(t *testing.T) {
 // TestLatencyRecorderSetRetentionEvicts checks that shrinking the horizon
 // evicts immediately without losing any summaries.
 func TestLatencyRecorderSetRetentionEvicts(t *testing.T) {
-	r := NewLatencyRecorder(time.Second)
+	r := NewShardedRecorder(time.Second)
 	base := time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 30; i++ {
 		r.Record(base.Add(time.Duration(i)*time.Second), 5*time.Millisecond)
@@ -290,7 +290,7 @@ func TestCounter(t *testing.T) {
 
 func TestLatencyRecorderRandomizedAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	r := NewLatencyRecorder(time.Second)
+	r := NewShardedRecorder(time.Second)
 	base := time.Now()
 	var all []time.Duration
 	for i := 0; i < 500; i++ {

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "time"
 
 // WindowStats summarizes the latencies observed in one window (the paper
 // windows by second; compressed-time experiments use shorter windows).
@@ -22,157 +18,9 @@ type WindowStats struct {
 // latency samples are kept before being summarized and evicted.
 const DefaultRetention = 2 * time.Minute
 
-// Recorder receives latency observations. LatencyRecorder (single mutex)
-// and ShardedRecorder (striped, for hot paths) both implement it.
+// Recorder receives latency observations; ShardedRecorder implements it.
 type Recorder interface {
 	Record(at time.Time, latency time.Duration)
-}
-
-// LatencyRecorder collects transaction latencies into fixed-size time
-// windows and summarizes each window's percentiles. It is safe for
-// concurrent use.
-//
-// Raw per-window samples are kept only within a configurable retention
-// horizon of the newest observation; older windows are summarized into
-// fixed-size WindowStats and their samples freed, so a long-running
-// recorder's memory is bounded by the horizon, not the run length.
-// Observations arriving for an already-summarized window are dropped (and
-// counted in LateDropped).
-type LatencyRecorder struct {
-	window time.Duration
-
-	mu        sync.Mutex
-	buckets   map[int64][]time.Duration // raw samples, recent windows only
-	finalized map[int64]WindowStats     // summarized, evicted windows
-	retention int64                     // horizon in windows
-	maxIdx    int64                     // newest window seen
-	late      int64                     // dropped late observations
-	epoch     time.Time
-	started   bool
-}
-
-// NewLatencyRecorder returns a recorder with the given window size
-// (typically one second, per the paper's SLA definition) and the default
-// retention horizon.
-func NewLatencyRecorder(window time.Duration) *LatencyRecorder {
-	if window <= 0 {
-		window = time.Second
-	}
-	r := &LatencyRecorder{
-		window:    window,
-		buckets:   make(map[int64][]time.Duration),
-		finalized: make(map[int64]WindowStats),
-	}
-	r.setRetentionLocked(DefaultRetention)
-	return r
-}
-
-// SetRetention changes the retention horizon: windows ending more than
-// horizon behind the newest observation are summarized and their raw
-// samples evicted. A horizon below one window keeps a single raw window.
-func (r *LatencyRecorder) SetRetention(horizon time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.setRetentionLocked(horizon)
-	r.evictLocked()
-}
-
-func (r *LatencyRecorder) setRetentionLocked(horizon time.Duration) {
-	n := int64(horizon / r.window)
-	if n < 1 {
-		n = 1
-	}
-	r.retention = n
-}
-
-// Record adds one latency observation at the given time.
-func (r *LatencyRecorder) Record(at time.Time, latency time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.started {
-		r.epoch = at
-		r.started = true
-	}
-	idx := int64(at.Sub(r.epoch) / r.window)
-	if _, done := r.finalized[idx]; done || idx <= r.maxIdx-r.retention {
-		r.late++
-		return
-	}
-	r.buckets[idx] = append(r.buckets[idx], latency)
-	if idx > r.maxIdx {
-		r.maxIdx = idx
-		r.evictLocked()
-	}
-}
-
-// evictLocked summarizes and frees raw windows older than the horizon.
-func (r *LatencyRecorder) evictLocked() {
-	for idx, lat := range r.buckets {
-		if idx <= r.maxIdx-r.retention {
-			r.finalized[idx] = r.summarize(idx, lat)
-			delete(r.buckets, idx)
-		}
-	}
-}
-
-// summarize computes one window's statistics.
-func (r *LatencyRecorder) summarize(idx int64, lat []time.Duration) WindowStats {
-	return summarizeWindow(r.epoch, r.window, idx, lat)
-}
-
-// Count returns the total number of recorded observations (summarized
-// windows included).
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, b := range r.buckets {
-		n += len(b)
-	}
-	for _, ws := range r.finalized {
-		n += ws.Count
-	}
-	return n
-}
-
-// LateDropped returns the number of observations dropped because their
-// window had already been summarized and evicted.
-func (r *LatencyRecorder) LateDropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.late
-}
-
-// RawWindows returns the number of windows still holding raw samples
-// (bounded by the retention horizon).
-func (r *LatencyRecorder) RawWindows() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buckets)
-}
-
-// Windows returns per-window summaries in time order, merging summarized
-// and still-raw windows.
-func (r *LatencyRecorder) Windows() []WindowStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idxs := make([]int64, 0, len(r.buckets)+len(r.finalized))
-	for i := range r.buckets {
-		idxs = append(idxs, i)
-	}
-	for i := range r.finalized {
-		idxs = append(idxs, i)
-	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
-	out := make([]WindowStats, 0, len(idxs))
-	for _, i := range idxs {
-		if ws, ok := r.finalized[i]; ok {
-			out = append(out, ws)
-			continue
-		}
-		out = append(out, r.summarize(i, r.buckets[i]))
-	}
-	return out
 }
 
 // SLAReport counts, per percentile, the number of windows whose percentile

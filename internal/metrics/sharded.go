@@ -8,17 +8,19 @@ import (
 	"time"
 )
 
-// ShardedRecorder is a LatencyRecorder drop-in for hot paths: observations
-// are striped across per-shard sample buffers (each with its own mutex, on
-// its own cache line), window bookkeeping is done with atomics, and shards
-// are only merged on read. Under many concurrent recorders — one per
-// executor, plus every client goroutine — it removes the global mutex that
-// made the old recorder the first thing a CPU profile showed.
+// ShardedRecorder collects transaction latencies into fixed-size time
+// windows and summarizes each window's percentiles. It is safe for
+// concurrent use and built for hot paths: observations are striped across
+// per-shard sample buffers (each with its own mutex, on its own cache
+// line), window bookkeeping is done with atomics, and shards are only
+// merged on read, so many concurrent recorders — one per executor, plus
+// every client goroutine — never contend on one global mutex.
 //
-// Semantics match LatencyRecorder: samples bucket into fixed windows from
-// the first observation's epoch; windows older than the retention horizon
-// are summarized into WindowStats and their raw samples freed; late
-// observations for already-summarized windows are dropped and counted.
+// Samples bucket into fixed windows from the first observation's epoch;
+// windows older than the retention horizon are summarized into WindowStats
+// and their raw samples freed, so memory is bounded by the horizon, not
+// the run length; late observations for already-summarized windows are
+// dropped and counted.
 type ShardedRecorder struct {
 	window time.Duration
 

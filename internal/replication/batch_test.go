@@ -3,6 +3,7 @@ package replication
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"pstore/internal/logrec"
 	"pstore/internal/metrics"
 )
 
@@ -25,16 +27,16 @@ func TestBatchStreamDecodesIdentical(t *testing.T) {
 	lsn := uint64(0)
 	for i := 0; i < 200; i++ {
 		lsn++
-		var rec *Record
+		var rec *logrec.Record
 		switch rng.Intn(3) {
 		case 0:
-			rec = &Record{LSN: lsn, Epoch: 1, Kind: RecTxn, Proc: "Put",
+			rec = &logrec.Record{LSN: lsn, Epoch: 1, Kind: logrec.Txn, Proc: "Put",
 				Key: fmt.Sprintf("k%d", rng.Intn(50)), Args: map[string]string{"v": fmt.Sprintf("%d", i)}}
 		case 1:
-			rec = &Record{LSN: lsn, Epoch: 1, Kind: RecPut, Tab: "T",
+			rec = &logrec.Record{LSN: lsn, Epoch: 1, Kind: logrec.Put, Tab: "T",
 				Key: fmt.Sprintf("k%d", rng.Intn(50)), Args: map[string]string{"v": fmt.Sprintf("%d", i)}}
 		default:
-			rec = &Record{LSN: lsn, Epoch: 1, Kind: RecBucketOut, Bucket: rng.Intn(64)}
+			rec = &logrec.Record{LSN: lsn, Epoch: 1, Kind: logrec.BucketOut, Bucket: rng.Intn(64)}
 		}
 		f := encodeFrame(rec)
 		frames = append(frames, f)
@@ -94,8 +96,8 @@ func TestBatchStreamDecodesIdentical(t *testing.T) {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("record %d: batched payload differs from unbatched", i)
 		}
-		gr, err1 := decodeRecord(got[i])
-		wr, err2 := decodeRecord(want[i])
+		gr, err1 := logrec.Decode(got[i])
+		wr, err2 := logrec.Decode(want[i])
 		if err1 != nil || err2 != nil {
 			t.Fatalf("record %d: decode: %v / %v", i, err1, err2)
 		}
@@ -135,13 +137,13 @@ func TestTornBatchEnvelopeFailsLoudly(t *testing.T) {
 			if err != nil {
 				return decoded, err
 			}
-			if _, err = decodeRecord(rp); err != nil {
+			if _, err = logrec.Decode(rp); err != nil {
 				return decoded, err
 			}
 			decoded++
 		}
 		if len(inner) != 0 {
-			return decoded, errShipTrailing
+			return decoded, logrec.ErrTrailing
 		}
 		return decoded, nil
 	}
@@ -158,19 +160,19 @@ func TestTornBatchEnvelopeFailsLoudly(t *testing.T) {
 	// payload[1] is the single-byte count varint (len(recs) < 128).
 	under := append([]byte(nil), payload...)
 	under[1] = byte(len(recs) - 1)
-	if _, err := decodeAll(under); !errors.Is(err, errShipTrailing) {
-		t.Errorf("understated count: %v, want errShipTrailing", err)
+	if _, err := decodeAll(under); !errors.Is(err, logrec.ErrTrailing) {
+		t.Errorf("understated count: %v, want logrec.ErrTrailing", err)
 	}
 	over := append([]byte(nil), payload...)
 	over[1] = byte(len(recs) + 1)
-	if _, err := decodeAll(over); !errors.Is(err, errShipTruncated) {
-		t.Errorf("overstated count: %v, want errShipTruncated", err)
+	if _, err := decodeAll(over); !errors.Is(err, logrec.ErrTruncated) {
+		t.Errorf("overstated count: %v, want logrec.ErrTruncated", err)
 	}
 	padded := append(append([]byte(nil), payload...), 0x00)
-	if _, err := decodeAll(padded); !errors.Is(err, errShipTrailing) {
-		t.Errorf("padded envelope: %v, want errShipTrailing", err)
+	if _, err := decodeAll(padded); !errors.Is(err, logrec.ErrTrailing) {
+		t.Errorf("padded envelope: %v, want logrec.ErrTrailing", err)
 	}
-	empty := appendUvarint([]byte{msgBatch}, 0)
+	empty := binary.AppendUvarint([]byte{msgBatch}, 0)
 	if _, _, err := splitBatch(empty); err == nil {
 		t.Error("empty batch envelope accepted")
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pstore/internal/durability"
+	"pstore/internal/logrec"
 	"pstore/internal/metrics"
 )
 
@@ -110,12 +111,12 @@ func TestDurableReplicaApplyIdempotencyAndGaps(t *testing.T) {
 	rep := openDurableReplica(t, rig, dir)
 	defer rep.Kill()
 
-	rec := func(lsn, epoch uint64, key string) *Record {
-		return &Record{LSN: lsn, Epoch: epoch, Kind: RecTxn, Proc: "Put", Key: key,
+	rec := func(lsn, epoch uint64, key string) *logrec.Record {
+		return &logrec.Record{LSN: lsn, Epoch: epoch, Kind: logrec.Txn, Proc: "Put", Key: key,
 			Args: map[string]string{"v": key}}
 	}
 	// The tail's protocol: snapshot Apply + LogRecord only on advance.
-	shipRec := func(r *Record) error {
+	shipRec := func(r *logrec.Record) error {
 		applied := rep.Applied()
 		if err := rep.Apply(r); err != nil {
 			return err
@@ -184,7 +185,7 @@ func TestDurableReplicaAckIsDurableHorizon(t *testing.T) {
 	}
 	defer rep.Kill()
 
-	r := &Record{LSN: 1, Epoch: 1, Kind: RecTxn, Proc: "Put", Key: "k",
+	r := &logrec.Record{LSN: 1, Epoch: 1, Kind: logrec.Txn, Proc: "Put", Key: "k",
 		Args: map[string]string{"v": "1"}}
 	if err := rep.Apply(r); err != nil {
 		t.Fatal(err)

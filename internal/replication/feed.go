@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pstore/internal/durability"
+	"pstore/internal/logrec"
 	"pstore/internal/metrics"
 	"pstore/internal/storage"
 )
@@ -208,6 +209,32 @@ func (f *Feed) SetSnapshotFunc(fn SnapshotFunc) {
 // subscribers and defers onDurable until the record is locally durable and
 // replica-acked.
 func (f *Feed) Append(proc, key string, args map[string]string, onDurable func(uint64, error)) {
+	_ = f.append(&logrec.Record{Kind: logrec.Txn, Proc: proc, Key: key, Args: args}, onDurable) // the error reaches onDurable
+}
+
+// LogPut ships a direct row load (cluster.LoadRows). Asynchronous: bulk
+// preloads must not block on per-row replica acks; ordering alone keeps
+// replicas consistent.
+func (f *Feed) LogPut(table, key string, cols map[string]string) error {
+	return f.append(&logrec.Record{Kind: logrec.Put, Tab: table, Key: key, Args: cols}, nil)
+}
+
+// LogBucketIn ships a migration bucket handoff (receive side), chaining to
+// the durability manager's synchronous bucket-in record.
+func (f *Feed) LogBucketIn(data *storage.BucketData) error {
+	return f.append(&logrec.Record{Kind: logrec.BucketIn, Bucket: data.Bucket, Data: data}, nil)
+}
+
+// LogBucketOut ships a migration bucket handoff (send side).
+func (f *Feed) LogBucketOut(bucket int) error {
+	return f.append(&logrec.Record{Kind: logrec.BucketOut, Bucket: bucket}, nil)
+}
+
+// append is the path every record takes: it assigns the next LSN and the
+// feed's epoch, ships the encoded record, queues onDurable (if any) in the
+// ack window and chains the record to the durability manager. A failure is
+// returned and, when onDurable is set, also delivered to it.
+func (f *Feed) append(rec *logrec.Record, onDurable func(uint64, error)) error {
 	f.appendMu.Lock()
 	f.mu.Lock()
 	if err := f.unusableLocked(); err != nil {
@@ -217,14 +244,14 @@ func (f *Feed) Append(proc, key string, args map[string]string, onDurable func(u
 		if onDurable != nil {
 			onDurable(0, err)
 		}
-		return
+		return err
 	}
 	f.lsn++
 	lsn := f.lsn
-	// Encode immediately: args aliases a pooled map the engine reuses after
-	// the ack, so the feed must not retain it.
-	frame := encodeFrame(&Record{LSN: lsn, Epoch: f.epoch, Kind: RecTxn, Proc: proc, Key: key, Args: args})
-	f.publishLocked(lsn, frame)
+	rec.LSN, rec.Epoch = lsn, f.epoch
+	// Encode immediately: a transaction's args alias a pooled map the
+	// engine reuses after the ack, so the feed must not retain the record.
+	f.publishLocked(encodeFrame(rec))
 	if onDurable != nil {
 		var start time.Time
 		if f.events != nil {
@@ -235,91 +262,19 @@ func (f *Feed) Append(proc, key string, args map[string]string, onDurable func(u
 	}
 	f.mu.Unlock()
 
-	if f.inner != nil {
-		// Still under appendMu: the inner manager assigns seq == lsn.
-		f.inner.Append(proc, key, args, func(_ uint64, err error) { f.localDurable(lsn, err) })
-		f.appendMu.Unlock()
-		return
-	}
-	f.appendMu.Unlock()
-	f.localDurable(lsn, nil)
-}
-
-// LogPut ships a direct row load (cluster.LoadRows). Asynchronous: bulk
-// preloads must not block on per-row replica acks; ordering alone keeps
-// replicas consistent.
-func (f *Feed) LogPut(table, key string, cols map[string]string) error {
-	f.appendMu.Lock()
-	f.mu.Lock()
-	if err := f.unusableLocked(); err != nil {
-		f.mu.Unlock()
-		f.appendMu.Unlock()
-		return err
-	}
-	f.lsn++
-	lsn := f.lsn
-	frame := encodeFrame(&Record{LSN: lsn, Epoch: f.epoch, Kind: RecPut, Tab: table, Key: key, Args: cols})
-	f.publishLocked(lsn, frame)
-	f.mu.Unlock()
-	var err error
-	if f.inner != nil {
-		_, err = f.inner.AppendPut(table, key, cols)
-	}
-	f.appendMu.Unlock()
 	if f.inner == nil {
-		f.localDurable(lsn, nil)
-	}
-	return err
-}
-
-// LogBucketIn ships a migration bucket handoff (receive side), chaining to
-// the durability manager's synchronous bucket-in record.
-func (f *Feed) LogBucketIn(data *storage.BucketData) error {
-	f.appendMu.Lock()
-	f.mu.Lock()
-	if err := f.unusableLocked(); err != nil {
-		f.mu.Unlock()
 		f.appendMu.Unlock()
-		return err
-	}
-	f.lsn++
-	lsn := f.lsn
-	frame := encodeFrame(&Record{LSN: lsn, Epoch: f.epoch, Kind: RecBucketIn, Bucket: data.Bucket, Data: data})
-	f.publishLocked(lsn, frame)
-	f.mu.Unlock()
-	var err error
-	if f.inner != nil {
-		err = f.inner.LogBucketIn(data)
-	}
-	f.appendMu.Unlock()
-	if f.inner == nil {
 		f.localDurable(lsn, nil)
+		return nil
 	}
-	return err
-}
-
-// LogBucketOut ships a migration bucket handoff (send side).
-func (f *Feed) LogBucketOut(bucket int) error {
-	f.appendMu.Lock()
-	f.mu.Lock()
-	if err := f.unusableLocked(); err != nil {
-		f.mu.Unlock()
-		f.appendMu.Unlock()
-		return err
+	// Still under appendMu: the inner manager assigns seq == lsn. Only a
+	// record with a waiter starts a group commit; the rest ride the next.
+	var cb func(uint64, error)
+	if onDurable != nil {
+		cb = func(_ uint64, err error) { f.localDurable(lsn, err) }
 	}
-	f.lsn++
-	lsn := f.lsn
-	frame := encodeFrame(&Record{LSN: lsn, Epoch: f.epoch, Kind: RecBucketOut, Bucket: bucket})
-	f.publishLocked(lsn, frame)
-	f.mu.Unlock()
-	var err error
-	if f.inner != nil {
-		err = f.inner.LogBucketOut(bucket)
-	}
+	err := f.inner.Log(rec, cb)
 	f.appendMu.Unlock()
-	if f.inner == nil {
-		f.localDurable(lsn, nil)
-	}
 	return err
 }
 
@@ -416,7 +371,7 @@ func (f *Feed) Armed() bool {
 // publishLocked adds the encoded frame to the retained tail and every
 // subscriber queue. A subscriber whose queue is full cannot keep up within
 // the retained window and is deposed — it will resync.
-func (f *Feed) publishLocked(lsn uint64, frame []byte) {
+func (f *Feed) publishLocked(frame []byte) {
 	f.buf = append(f.buf, frame)
 	if len(f.buf) >= 2*f.opts.MaxBuffer {
 		// Amortized trim: compacting on every append once the window is
@@ -440,7 +395,6 @@ func (f *Feed) publishLocked(lsn uint64, frame []byte) {
 			f.deposeLocked(s)
 		}
 	}
-	_ = lsn
 }
 
 // localDurable marks lsn locally durable and completes any waiters whose
@@ -775,20 +729,18 @@ func (f *Feed) attachLocked(fromLSN uint64) *Attachment {
 	return &Attachment{Sub: s, Epoch: f.epoch, StartLSN: fromLSN, Catchup: catchup}
 }
 
-// diskCatchup re-encodes durable records after fromLSN as ship frames.
+// diskCatchup re-ships durable records after fromLSN, restamped at the
+// feed's current epoch.
 func (f *Feed) diskCatchup(fromLSN uint64) (frames [][]byte, last uint64, err error) {
 	last = fromLSN
 	epoch := f.Epoch()
-	err = f.inner.ReadFrom(fromLSN, func(rec *durability.Record) error {
-		srec, cerr := fromDurable(rec, epoch)
-		if cerr != nil {
-			return cerr
+	err = f.inner.ReadFrom(fromLSN, func(rec *logrec.Record) error {
+		if rec.LSN != last+1 {
+			return fmt.Errorf("replication: disk catch-up gap: have %d, next record %d", last, rec.LSN)
 		}
-		if srec.LSN != last+1 {
-			return fmt.Errorf("replication: disk catch-up gap: have %d, next record %d", last, srec.LSN)
-		}
-		frames = append(frames, appendRecord(nil, srec))
-		last = srec.LSN
+		rec.Epoch = epoch
+		frames = append(frames, encodeFrame(rec))
+		last = rec.LSN
 		return nil
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pstore/internal/engine"
+	"pstore/internal/logrec"
 	"pstore/internal/metrics"
 )
 
@@ -189,7 +190,7 @@ func TestFeedCatchupFromRetainedTail(t *testing.T) {
 	}
 	want := uint64(5)
 	for _, frame := range att.Catchup {
-		rec, err := decodeRecord(frame[frameHeaderLen(frame):])
+		rec, err := logrec.Decode(frame[frameHeaderLen(frame):])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,13 +2,14 @@ package replication
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"pstore/internal/logrec"
 	"pstore/internal/metrics"
-	"pstore/internal/storage"
 )
 
 // Hub is the log-shipping server: replicas dial in, subscribe to a
@@ -290,7 +291,8 @@ func (h *Hub) writeSeeding(conn net.Conn, bw *bufio.Writer, att *Attachment) boo
 	if att.Snapshot != nil {
 		for _, b := range att.Snapshot.Buckets {
 			armWriteDeadline(conn, h.opts.AckTimeout)
-			bw.Write(encodeBucketFrame(b))
+			bw.Write(encodeFrame(&logrec.Record{Kind: logrec.BucketIn,
+				LSN: att.Snapshot.LSN, Epoch: att.Snapshot.Epoch, Bucket: b.Bucket, Data: b}))
 			if bw.Available() == 0 {
 				if bw.Flush() != nil {
 					return false
@@ -400,54 +402,54 @@ func writeErrorFrame(conn net.Conn, bw *bufio.Writer, msg string, timeout time.D
 // ---- ship-stream message encoding ----
 
 func frame(payload []byte) []byte {
-	out := appendUvarint(make([]byte, 0, len(payload)+4), uint64(len(payload)))
+	out := binary.AppendUvarint(make([]byte, 0, len(payload)+4), uint64(len(payload)))
 	return append(out, payload...)
 }
 
 func encodeSubscribe(part int, fromLSN, fromEpoch uint64) []byte {
 	p := []byte{msgSubscribe}
-	p = appendUvarint(p, uint64(part))
-	p = appendUvarint(p, fromLSN)
-	p = appendUvarint(p, fromEpoch)
+	p = binary.AppendUvarint(p, uint64(part))
+	p = binary.AppendUvarint(p, fromLSN)
+	p = binary.AppendUvarint(p, fromEpoch)
 	return frame(p)
 }
 
 func decodeSubscribe(payload []byte) (part int, fromLSN, fromEpoch uint64, err error) {
-	r := reader{data: payload}
-	kind, err := r.byte()
+	r := logrec.NewReader(payload)
+	kind, err := r.Byte()
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	if kind != msgSubscribe {
 		return 0, 0, 0, fmt.Errorf("replication: expected subscribe, got message kind %d", kind)
 	}
-	pv, err := r.uvarint()
+	pv, err := r.Uvarint()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if fromLSN, err = r.uvarint(); err != nil {
+	if fromLSN, err = r.Uvarint(); err != nil {
 		return 0, 0, 0, err
 	}
-	if fromEpoch, err = r.uvarint(); err != nil {
+	if fromEpoch, err = r.Uvarint(); err != nil {
 		return 0, 0, 0, err
 	}
-	return int(pv), fromLSN, fromEpoch, r.done()
+	return int(pv), fromLSN, fromEpoch, r.Done()
 }
 
 func encodeHello(att *Attachment) []byte {
 	p := []byte{msgHello}
-	p = appendUvarint(p, att.Epoch)
-	p = appendUvarint(p, att.StartLSN)
+	p = binary.AppendUvarint(p, att.Epoch)
+	p = binary.AppendUvarint(p, att.StartLSN)
 	if att.Snapshot == nil {
 		p = append(p, 0)
 		return frame(p)
 	}
 	p = append(p, 1)
-	p = appendUvarint(p, uint64(len(att.Snapshot.Tables)))
+	p = binary.AppendUvarint(p, uint64(len(att.Snapshot.Tables)))
 	for _, t := range att.Snapshot.Tables {
-		p = appendString(p, t)
+		p = logrec.AppendString(p, t)
 	}
-	p = appendUvarint(p, uint64(len(att.Snapshot.Buckets)))
+	p = binary.AppendUvarint(p, uint64(len(att.Snapshot.Buckets)))
 	return frame(p)
 }
 
@@ -461,13 +463,13 @@ type helloMsg struct {
 }
 
 func decodeHello(payload []byte) (*helloMsg, error) {
-	r := reader{data: payload}
-	kind, err := r.byte()
+	r := logrec.NewReader(payload)
+	kind, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
 	if kind == msgError {
-		msg, merr := r.string()
+		msg, merr := r.String()
 		if merr != nil {
 			return nil, merr
 		}
@@ -477,73 +479,51 @@ func decodeHello(payload []byte) (*helloMsg, error) {
 		return nil, fmt.Errorf("replication: expected hello, got message kind %d", kind)
 	}
 	h := &helloMsg{}
-	if h.Epoch, err = r.uvarint(); err != nil {
+	if h.Epoch, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
-	if h.StartLSN, err = r.uvarint(); err != nil {
+	if h.StartLSN, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
-	snap, err := r.byte()
+	snap, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
 	if snap == 0 {
-		return h, r.done()
+		return h, r.Done()
 	}
 	h.Snapshot = true
-	nt, err := r.uvarint()
+	nt, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if nt > uint64(len(r.data)) {
-		return nil, errShipTruncated
+	if nt > uint64(len(payload)) {
+		return nil, logrec.ErrTruncated
 	}
 	for i := uint64(0); i < nt; i++ {
-		t, err := r.string()
+		t, err := r.String()
 		if err != nil {
 			return nil, err
 		}
 		h.Tables = append(h.Tables, t)
 	}
-	nb, err := r.uvarint()
+	nb, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	h.NBuckets = int(nb)
-	return h, r.done()
-}
-
-func encodeBucketFrame(b *storage.BucketData) []byte {
-	p := []byte{msgBucket}
-	p = appendBucketData(p, b)
-	return frame(p)
-}
-
-func decodeBucketFrame(payload []byte) (*storage.BucketData, error) {
-	r := reader{data: payload}
-	kind, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if kind != msgBucket {
-		return nil, fmt.Errorf("replication: expected snapshot bucket, got message kind %d", kind)
-	}
-	d, err := r.bucketData()
-	if err != nil {
-		return nil, err
-	}
-	return d, r.done()
+	return h, r.Done()
 }
 
 func encodeErrorFrame(msg string) []byte {
 	p := []byte{msgError}
-	p = appendString(p, msg)
+	p = logrec.AppendString(p, msg)
 	return frame(p)
 }
 
 func encodeAck(lsn uint64) []byte {
 	p := []byte{msgAck}
-	p = appendUvarint(p, lsn)
+	p = binary.AppendUvarint(p, lsn)
 	return frame(p)
 }
 
@@ -558,17 +538,17 @@ func isHeartbeat(payload []byte) bool {
 }
 
 func decodeAck(payload []byte) (uint64, error) {
-	r := reader{data: payload}
-	kind, err := r.byte()
+	r := logrec.NewReader(payload)
+	kind, err := r.Byte()
 	if err != nil {
 		return 0, err
 	}
 	if kind != msgAck {
 		return 0, fmt.Errorf("replication: expected ack, got message kind %d", kind)
 	}
-	lsn, err := r.uvarint()
+	lsn, err := r.Uvarint()
 	if err != nil {
 		return 0, err
 	}
-	return lsn, r.done()
+	return lsn, r.Done()
 }

@@ -3,23 +3,23 @@ package replication
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"reflect"
 	"testing"
 
+	"pstore/internal/logrec"
 	"pstore/internal/storage"
 )
 
-func sampleRecords() []*Record {
-	return []*Record{
-		{LSN: 1, Epoch: 1, Kind: RecTxn, Proc: "Put", Key: "k1", Args: map[string]string{"v": "1", "w": "2"}},
-		{LSN: 2, Epoch: 1, Kind: RecTxn, Proc: "Delete", Key: "k2"},
-		{LSN: 3, Epoch: 2, Kind: RecPut, Tab: "T", Key: "k3", Args: map[string]string{"v": "x"}},
-		{LSN: 4, Epoch: 2, Kind: RecBucketOut, Bucket: 17},
-		{LSN: 5, Epoch: 3, Kind: RecBucketIn, Bucket: 4, Data: &storage.BucketData{
+func sampleRecords() []*logrec.Record {
+	return []*logrec.Record{
+		{LSN: 1, Epoch: 1, Kind: logrec.Txn, Proc: "Put", Key: "k1", Args: map[string]string{"v": "1", "w": "2"}},
+		{LSN: 2, Epoch: 1, Kind: logrec.Txn, Proc: "Delete", Key: "k2"},
+		{LSN: 3, Epoch: 2, Kind: logrec.Put, Tab: "T", Key: "k3", Args: map[string]string{"v": "x"}},
+		{LSN: 4, Epoch: 2, Kind: logrec.BucketOut, Bucket: 17},
+		{LSN: 5, Epoch: 3, Kind: logrec.BucketIn, Bucket: 4, Data: &storage.BucketData{
 			Bucket: 4,
 			Tables: map[string][]storage.Row{
 				"T": {
@@ -32,71 +32,13 @@ func sampleRecords() []*Record {
 	}
 }
 
-func TestRecordCodecRoundTrip(t *testing.T) {
-	var stream []byte
-	recs := sampleRecords()
-	for _, rec := range recs {
-		stream = appendRecord(stream, rec)
-	}
-	br := bufio.NewReader(bytes.NewReader(stream))
-	var buf []byte
-	for i, want := range recs {
-		payload, err := readShipFrame(br, &buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		got, err := decodeRecord(payload)
-		if err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		// Empty maps decode as nil; normalize before comparing.
-		if want.Kind == RecBucketIn {
-			if got.Bucket != want.Bucket || got.Data == nil {
-				t.Fatalf("record %d: bucket mismatch", i)
-			}
-			ge := appendBucketData(nil, got.Data)
-			we := appendBucketData(nil, want.Data)
-			if !bytes.Equal(ge, we) {
-				t.Fatalf("record %d: bucket data differs after round trip", i)
-			}
-			got.Data, want.Data = nil, nil
-		}
-		if len(want.Args) == 0 {
-			want.Args = got.Args
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("record %d round trip:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-	if _, err := readShipFrame(br, &buf); err != io.EOF {
-		t.Fatalf("after last frame: %v, want io.EOF", err)
-	}
-}
-
-// TestRecordCodecDeterministicEncoding re-encodes the same logical record
-// many times; map iteration order must never leak into the bytes.
-func TestRecordCodecDeterministicEncoding(t *testing.T) {
-	rec := sampleRecords()[0]
-	want := appendRecord(nil, rec)
-	for i := 0; i < 50; i++ {
-		args := make(map[string]string, len(rec.Args))
-		for k, v := range rec.Args {
-			args[k] = v
-		}
-		again := appendRecord(nil, &Record{LSN: rec.LSN, Epoch: rec.Epoch, Kind: rec.Kind, Proc: rec.Proc, Key: rec.Key, Args: args})
-		if !bytes.Equal(want, again) {
-			t.Fatalf("iteration %d: encoding differs for identical record", i)
-		}
-	}
-}
-
 // TestTornFrameFailsLoudly truncates a shipped stream at every possible
-// byte boundary: the decoder must error on every prefix, never hand back a
-// record from torn input.
+// byte boundary: the ship-frame reader and the decoder must error on every
+// prefix, never hand back a record from torn input.
 func TestTornFrameFailsLoudly(t *testing.T) {
 	var stream []byte
 	for _, rec := range sampleRecords() {
-		stream = appendRecord(stream, rec)
+		stream = append(stream, encodeFrame(rec)...)
 	}
 	whole := len(sampleRecords())
 	for cut := 0; cut < len(stream); cut++ {
@@ -110,7 +52,7 @@ func TestTornFrameFailsLoudly(t *testing.T) {
 			if err != nil {
 				break
 			}
-			if _, err = decodeRecord(payload); err != nil {
+			if _, err = logrec.Decode(payload); err != nil {
 				break
 			}
 			decoded++
@@ -124,12 +66,12 @@ func TestTornFrameFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestCorruptPayloadRejected flips the interior of a record payload into
-// forms the decoder must refuse: trailing garbage, truncated payloads and
-// an oversized length prefix.
+// TestCorruptPayloadRejected feeds the decoder what a damaged ship frame
+// carries: trailing garbage, truncated payloads and an oversized length
+// prefix must all be refused.
 func TestCorruptPayloadRejected(t *testing.T) {
 	rec := sampleRecords()[0]
-	framed := appendRecord(nil, rec)
+	framed := encodeFrame(rec)
 	br := bufio.NewReader(bytes.NewReader(framed))
 	var buf []byte
 	payload, err := readShipFrame(br, &buf)
@@ -138,19 +80,19 @@ func TestCorruptPayloadRejected(t *testing.T) {
 	}
 
 	trailing := append(append([]byte(nil), payload...), 0xFF)
-	if _, err := decodeRecord(trailing); !errors.Is(err, errShipTrailing) {
-		t.Errorf("trailing byte: %v, want errShipTrailing", err)
+	if _, err := logrec.Decode(trailing); !errors.Is(err, logrec.ErrTrailing) {
+		t.Errorf("trailing byte: %v, want logrec.ErrTrailing", err)
 	}
 	for cut := 1; cut < len(payload); cut++ {
-		if _, err := decodeRecord(payload[:cut]); err == nil {
+		if _, err := logrec.Decode(payload[:cut]); err == nil {
 			t.Errorf("truncated payload at %d decoded without error", cut)
 		}
 	}
-	if _, err := decodeRecord([]byte{99, 1, 1}); err == nil {
+	if _, err := logrec.Decode([]byte{99, 1, 1}); err == nil {
 		t.Error("unknown record kind decoded without error")
 	}
 
-	huge := appendUvarint(nil, maxShipFrame+1)
+	huge := binary.AppendUvarint(nil, maxShipFrame+1)
 	if _, err := readShipFrame(bufio.NewReader(bytes.NewReader(huge)), &buf); !errors.Is(err, errShipTooLarge) {
 		t.Errorf("oversized frame: %v, want errShipTooLarge", err)
 	}
@@ -162,13 +104,13 @@ func TestCorruptPayloadRejected(t *testing.T) {
 func TestDeterministicReplayProperty(t *testing.T) {
 	const nBuckets = 16
 	rng := rand.New(rand.NewSource(7))
-	recs := make([]*Record, 0, 400)
+	recs := make([]*logrec.Record, 0, 400)
 	lsn := uint64(0)
 	// Seed ownership of every bucket, then a shuffled mix of puts, txns
 	// and bucket handoffs.
 	for b := 0; b < nBuckets; b++ {
 		lsn++
-		recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecBucketIn, Bucket: b,
+		recs = append(recs, &logrec.Record{LSN: lsn, Epoch: 1, Kind: logrec.BucketIn, Bucket: b,
 			Data: &storage.BucketData{Bucket: b, Tables: map[string][]storage.Row{}}})
 	}
 	for i := 0; i < 300; i++ {
@@ -176,19 +118,19 @@ func TestDeterministicReplayProperty(t *testing.T) {
 		key := fmt.Sprintf("key-%d", rng.Intn(120))
 		switch rng.Intn(4) {
 		case 0:
-			recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecPut, Tab: "T", Key: key,
+			recs = append(recs, &logrec.Record{LSN: lsn, Epoch: 1, Kind: logrec.Put, Tab: "T", Key: key,
 				Args: map[string]string{"v": fmt.Sprintf("%d", i), "r": fmt.Sprintf("%d", rng.Intn(10))}})
 		case 1:
 			b := rng.Intn(nBuckets)
-			recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecBucketOut, Bucket: b})
+			recs = append(recs, &logrec.Record{LSN: lsn, Epoch: 1, Kind: logrec.BucketOut, Bucket: b})
 		case 2:
 			b := rng.Intn(nBuckets)
-			recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecBucketIn, Bucket: b,
+			recs = append(recs, &logrec.Record{LSN: lsn, Epoch: 1, Kind: logrec.BucketIn, Bucket: b,
 				Data: &storage.BucketData{Bucket: b, Tables: map[string][]storage.Row{
 					"T": {{Key: key, Cols: map[string]string{"v": "seeded"}}},
 				}}})
 		default:
-			recs = append(recs, &Record{LSN: lsn, Epoch: 1, Kind: RecPut, Tab: "U", Key: key,
+			recs = append(recs, &logrec.Record{LSN: lsn, Epoch: 1, Kind: logrec.Put, Tab: "U", Key: key,
 				Args: map[string]string{"n": fmt.Sprintf("%d", i)}})
 		}
 	}
@@ -214,7 +156,7 @@ func TestDeterministicReplayProperty(t *testing.T) {
 
 // cloneRecord deep-copies a record so one replay cannot alias state into
 // the other through shared maps.
-func cloneRecord(rec *Record) *Record {
+func cloneRecord(rec *logrec.Record) *logrec.Record {
 	out := *rec
 	if rec.Args != nil {
 		out.Args = make(map[string]string, len(rec.Args))
@@ -244,14 +186,20 @@ func cloneRecord(rec *Record) *Record {
 // bucket encoding.
 func encodeReplica(r *Replica) []byte {
 	var out []byte
-	r.Inspect(func(p *storage.Partition) {
-		for _, b := range p.OwnedBuckets() {
-			d, err := p.CopyBucket(b)
-			if err != nil {
-				panic(err)
-			}
-			out = appendBucketData(out, d)
+	r.Inspect(func(p *storage.Partition) { out = encodePartition(p) })
+	return out
+}
+
+// encodePartition serializes a partition's owned buckets, as bucket-in
+// records, with the deterministic bucket encoding.
+func encodePartition(p *storage.Partition) []byte {
+	var out []byte
+	for _, b := range p.OwnedBuckets() {
+		d, err := p.CopyBucket(b)
+		if err != nil {
+			panic(err)
 		}
-	})
+		out = logrec.Append(out, &logrec.Record{Kind: logrec.BucketIn, Data: d})
+	}
 	return out
 }

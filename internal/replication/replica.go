@@ -11,6 +11,7 @@ import (
 
 	"pstore/internal/durability"
 	"pstore/internal/engine"
+	"pstore/internal/logrec"
 	"pstore/internal/metrics"
 	"pstore/internal/storage"
 )
@@ -109,9 +110,9 @@ func OpenReplica(part, nBuckets int, node string, reg *engine.Registry, dir stri
 }
 
 // epochFile is the sidecar recording the highest epoch the replica has
-// seen — the durability log's records carry no epochs, but resubscribing
-// after a local-log recovery needs the exact epoch or the feed forces a
-// full snapshot resync.
+// seen — resubscribing after a local-log recovery needs the exact epoch or
+// the feed forces a full snapshot resync, and a log that was just
+// re-baselined by a snapshot holds no record to read it from.
 const epochFile = "epoch"
 
 func readEpochFile(dir string) (uint64, error) {
@@ -257,7 +258,7 @@ func (r *Replica) InstallSnapshot(snap *Snapshot) error {
 // forces the caller to resync.
 //
 //pstore:executor
-func (r *Replica) Apply(rec *Record) error {
+func (r *Replica) Apply(rec *logrec.Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.serving {
@@ -275,45 +276,13 @@ func (r *Replica) Apply(rec *Record) error {
 	if rec.LSN != r.applied+1 {
 		return fmt.Errorf("replication: partition %d replica: gap at LSN %d (applied %d)", r.part, rec.LSN, r.applied)
 	}
-	if err := r.applyLocked(rec); err != nil {
+	if err := durability.Apply(r.reg, r.p, rec, nil); err != nil {
 		return err
 	}
 	r.applied = rec.LSN
 	r.seeded = true
 	r.wakeLocked()
 	return nil
-}
-
-func (r *Replica) applyLocked(rec *Record) error {
-	switch rec.Kind {
-	case RecTxn:
-		if !r.p.OwnsKey(rec.Key) {
-			return nil // logged just before the bucket left this partition
-		}
-		return engine.ReplayTxn(r.reg, r.p, rec.Proc, rec.Key, rec.Args)
-	case RecPut:
-		if !r.p.OwnsKey(rec.Key) {
-			return nil
-		}
-		r.p.CreateTable(rec.Tab)
-		return r.p.Put(rec.Tab, rec.Key, rec.Args)
-	case RecBucketOut:
-		if !r.p.Owns(rec.Bucket) {
-			return nil
-		}
-		return r.p.DropBucket(rec.Bucket)
-	case RecBucketIn:
-		// Replace-then-apply keeps the record idempotent against a stale
-		// copy left by an earlier seeding race.
-		if r.p.Owns(rec.Bucket) {
-			if err := r.p.DropBucket(rec.Bucket); err != nil {
-				return err
-			}
-		}
-		return r.p.ApplyBucket(rec.Data)
-	default:
-		return fmt.Errorf("replication: unknown record kind %d", rec.Kind)
-	}
 }
 
 func (r *Replica) wakeLocked() {
@@ -330,31 +299,14 @@ func (r *Replica) wakeLocked() {
 // they do on a primary. Transaction and row-load records start no group
 // commit: the tail's flush at each drained batch (SyncAsync) makes the
 // whole batch durable with one fsync and advances the ackable horizon.
-func (r *Replica) LogRecord(rec *Record) error {
+func (r *Replica) LogRecord(rec *logrec.Record) error {
 	r.mu.Lock()
 	mgr := r.mgr
 	r.mu.Unlock()
 	if mgr == nil {
 		return nil
 	}
-	var err error
-	switch rec.Kind {
-	case RecTxn:
-		_, err = mgr.AppendTxn(rec.Proc, rec.Key, rec.Args)
-	case RecPut:
-		_, err = mgr.AppendPut(rec.Tab, rec.Key, rec.Args)
-	case RecBucketOut:
-		if err = mgr.LogBucketOut(rec.Bucket); err == nil {
-			r.advanceDurable(rec.LSN)
-		}
-	case RecBucketIn:
-		if err = mgr.LogBucketIn(rec.Data); err == nil {
-			r.advanceDurable(rec.LSN)
-		}
-	default:
-		err = fmt.Errorf("replication: unknown record kind %d", rec.Kind)
-	}
-	if err != nil {
+	if err := mgr.Log(rec, nil); err != nil {
 		return err
 	}
 	if rec.Epoch > r.persistedEpochSnapshot() {

@@ -81,15 +81,7 @@ func (rig *shipRig) write(key string) {
 func (rig *shipRig) encodePrimary() []byte {
 	rig.mu.Lock()
 	defer rig.mu.Unlock()
-	var out []byte
-	for _, b := range rig.part.OwnedBuckets() {
-		d, err := rig.part.CopyBucket(b)
-		if err != nil {
-			rig.t.Fatal(err)
-		}
-		out = appendBucketData(out, d)
-	}
-	return out
+	return encodePartition(rig.part)
 }
 
 func startReplica(t *testing.T, rig *shipRig, wrap func(net.Conn) net.Conn) (*Replica, *Tail) {

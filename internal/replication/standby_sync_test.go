@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pstore/internal/durability"
+	"pstore/internal/logrec"
 	"pstore/internal/metrics"
 )
 
@@ -58,7 +59,7 @@ func TestTailAcksRecordFollowedByHeartbeat(t *testing.T) {
 		t.Fatalf("session-start ack = %d, want 0", got)
 	}
 
-	rec := encodeFrame(&Record{LSN: 1, Epoch: 1, Kind: RecPut, Tab: "T", Key: "k",
+	rec := encodeFrame(&logrec.Record{LSN: 1, Epoch: 1, Kind: logrec.Put, Tab: "T", Key: "k",
 		Args: map[string]string{"v": "1"}})
 	if _, err := conn.Write(append(rec, encodeHeartbeat()...)); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"pstore/internal/logrec"
 	"pstore/internal/metrics"
 )
 
@@ -151,11 +152,14 @@ func (t *Tail) session() error {
 			if err != nil {
 				return err
 			}
-			b, err := decodeBucketFrame(payload)
+			rec, err := logrec.Decode(payload)
 			if err != nil {
 				return err
 			}
-			snap.Buckets = append(snap.Buckets, b)
+			if rec.Kind != logrec.BucketIn {
+				return fmt.Errorf("replication: expected snapshot bucket, got record kind %d", rec.Kind)
+			}
+			snap.Buckets = append(snap.Buckets, rec.Data)
 		}
 		if err := t.rep.InstallSnapshot(snap); err != nil {
 			if errors.Is(err, ErrReplicaGone) {
@@ -227,13 +231,13 @@ func (t *Tail) session() error {
 				}
 			}
 			if len(rest) != 0 {
-				return errShipTrailing
+				return logrec.ErrTrailing
 			}
 			sinceSync += int64(count)
 		case len(payload) > 0 && payload[0] >= msgSubscribe:
 			if payload[0] == msgError {
-				r := reader{data: payload[1:]}
-				msg, _ := r.string()
+				r := logrec.NewReader(payload[1:])
+				msg, _ := r.String()
 				return fmt.Errorf("replication: hub severed stream: %s", msg)
 			}
 			return fmt.Errorf("replication: unexpected message kind %d mid-stream", payload[0])
@@ -255,7 +259,7 @@ func (t *Tail) session() error {
 // appends it to the replica's own command log when freshly applied (not a
 // duplicate-skip), so a respawn replays locally.
 func (t *Tail) applyOne(payload []byte) error {
-	rec, err := decodeRecord(payload)
+	rec, err := logrec.Decode(payload)
 	if err != nil {
 		return err
 	}
